@@ -25,8 +25,10 @@ import sys
 from . import reduction as rd
 from . import spectra as sp
 from . import tuple_lab as tl
+from .exact_linalg import SingularMatrixError
 from .jnf import Partition
 from .workbench import builtin_corpus, run_corpus
+from .workbench.export import dumps
 
 # Relation enumeration is exponential in n; past this size the CLI reports
 # genericity as skipped rather than stalling.
@@ -35,10 +37,6 @@ GENERICITY_SIZE_CAP = 12
 
 class InputError(Exception):
     pass
-
-
-def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
 def _load_json(path: str) -> dict:
@@ -159,7 +157,10 @@ def cmd_verify(args) -> int:
         tup = tl.MatrixTuple.from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad matrix tuple: {exc}") from exc
-    report = tl.report(tup)
+    try:
+        report = tl.report(tup)
+    except SingularMatrixError as exc:
+        raise InputError(f"bad matrix tuple: {exc}") from exc
     if args.json:
         sys.stdout.write(dumps(report))
         return 0

@@ -1,13 +1,19 @@
 """Exact dense linear algebra over the rationals.
 
-Scalars are ``fractions.Fraction`` values and every result is exact.  The
-matrices used by the rest of the package are tiny (nothing past a few dozen
-rows), so the implementation is plain Gaussian elimination with an integer
-fast path for rank computations; no floating point anywhere.
+Scalars are ``fractions.Fraction`` values and every result is exact; no
+floating point anywhere.  Every rank and dimension check runs on one
+kernel, ``IntEchelon``: an incremental fraction-free echelon over the
+integers (after Bareiss, Math. Comp. 22, 1968), fed rows whose denominators
+have been cleared by scaling (``integer_matrix``).  Scaling a row, or a whole
+operator block, by a nonzero integer changes no rank.  Nullspace bases,
+inverses and solutions use Gauss-Jordan over Fraction (``_rref``).
 
 Vectorization convention: an n x n matrix X maps to the length n**2 vector
-vec(X) listing entries row by row (row-major).  All operator matrices built
-here (left/right multiplication, commutator maps) share this ordering.
+vec(X) listing entries row by row (row-major).  All operator matrices here
+share this ordering.  The intertwiner map X -> AX - XB, and with it the
+commutator map, is written down entry by entry in O(n^4)
+(``intertwiner_rows``) rather than assembled from the dense left and right
+multiplication operators, which remain for the product differential.
 
 Serialization: rationals are strings "p/q" or "p" with the sign on the
 numerator; matrices are JSON arrays of arrays of such strings.
@@ -237,29 +243,76 @@ def _integer_rows(m: RatMatrix) -> list[list[int]]:
     return rows
 
 
-def rank(m: RatMatrix) -> int:
-    """Rank over the rationals, via integer forward elimination."""
-    rows = _integer_rows(m)
-    nrows, ncols = m.rows, m.cols
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        p = rows[r][c]
-        for i in range(r + 1, nrows):
-            if rows[i][c] == 0:
-                continue
-            f = rows[i][c]
-            rows[i] = [p * x - f * y for x, y in zip(rows[i], rows[r])]
-            g = math.gcd(*rows[i])
-            if g > 1:
-                rows[i] = [x // g for x in rows[i]]
-        r += 1
-        if r == nrows:
+def integer_matrix(m: RatMatrix, scale: int | None = None) -> list[list[int]]:
+    """Rows of scale * m as ints; scale defaults to the lcm of m's
+    denominators.  A common scale for several matrices comes from
+    ``denominator_lcm``."""
+    if scale is None:
+        scale = denominator_lcm([m])
+    return [[int(x * scale) for x in m.row(i)] for i in range(m.rows)]
+
+
+def denominator_lcm(matrices: Iterable[RatMatrix]) -> int:
+    return math.lcm(*(x.denominator for m in matrices for x in m.entries))
+
+
+class IntEchelon:
+    """Incremental fraction-free row echelon basis over the integers.
+
+    Each stored row is primitive (gcd of its entries 1) and has a pivot
+    column where every later row is zero, so the stored rows are linearly
+    independent over Q.  ``add`` reduces a new row against each pivot in
+    turn, as p*v - f*b with the common factor of p and f removed, then
+    divides the result by the gcd of its entries.  Like Bareiss's
+    elimination this never forms a fraction; the gcd takes the place of
+    his exact division by the previous pivot.
+    """
+
+    __slots__ = ("rows", "pivots")
+
+    def __init__(self) -> None:
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def add(self, row: Iterable[int]) -> bool:
+        """Insert row unless it lies in the span; True when it was new."""
+        v = list(row)
+        for b, c in zip(self.rows, self.pivots):
+            f = v[c]
+            if f:
+                p = b[c]
+                g = math.gcd(p, f)
+                p //= g
+                f //= g
+                v = [p * x - f * y for x, y in zip(v, b)]
+        lead = next((i for i, x in enumerate(v) if x), None)
+        if lead is None:
+            return False
+        g = math.gcd(*v)
+        if g > 1:
+            v = [x // g for x in v]
+        self.rows.append(v)
+        self.pivots.append(lead)
+        return True
+
+
+def integer_rank(rows: Iterable[Sequence[int]], bound: int) -> int:
+    """Rank over Q of integer rows, given an upper bound on it (such as the
+    row length): rows after the bound is reached are not reduced."""
+    basis = IntEchelon()
+    for row in rows:
+        if len(basis) == bound:
             break
-    return r
+        basis.add(row)
+    return len(basis)
+
+
+def rank(m: RatMatrix) -> int:
+    """Rank over the rationals, via the integer echelon kernel."""
+    return integer_rank(_integer_rows(m), min(m.rows, m.cols))
 
 
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -365,6 +418,34 @@ def right_mul_matrix(a: RatMatrix) -> RatMatrix:
     return RatMatrix.from_rows(out)
 
 
+def intertwiner_rows(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
+    """The n^2 x n^2 rows of X -> aX - Xb under row-major vec, written entry
+    by entry: (aX - Xb)_ij = sum_k a_ik X_kj - X_ik b_kj.  Works for int or
+    Fraction entries and keeps their type."""
+    n = len(a)
+    if len(b) != n or any(len(r) != n for r in (*a, *b)):
+        raise ShapeMismatchError("intertwiner map needs two square matrices of one size")
+    rows = []
+    for i in range(n):
+        ai = a[i]
+        for j in range(n):
+            row = [0] * (n * n)
+            for k in range(n):
+                row[k * n + j] += ai[k]
+                row[i * n + k] -= b[k][j]
+            rows.append(row)
+    return rows
+
+
+def integer_intertwiner_rows(a: RatMatrix, b: RatMatrix) -> list[list[int]]:
+    """``intertwiner_rows`` of s*a and s*b for s the lcm of the denominators
+    of both.  The scale must be common: scaling a and b apart would change
+    the map X -> aX - Xb, not just multiply it."""
+    scale = denominator_lcm([a, b])
+    return intertwiner_rows(integer_matrix(a, scale), integer_matrix(b, scale))
+
+
 def vectorize_commutator_map(m: RatMatrix) -> RatMatrix:
     """The n^2 x n^2 matrix of X -> [m, X] = mX - Xm under row-major vec."""
-    return left_mul_matrix(m) - right_mul_matrix(m)
+    rows = m.row_lists()
+    return RatMatrix.from_rows(intertwiner_rows(rows, rows))

@@ -39,6 +39,11 @@ MULTIPLICATIVE = "multiplicative"
 ADDITIVE = "additive"
 
 
+def _require_object(data, what: str) -> None:
+    if not isinstance(data, Mapping):
+        raise TypeError(f"{what} must be a JSON object, not {type(data).__name__}")
+
+
 class SpectraError(Exception):
     pass
 
@@ -121,6 +126,7 @@ class FormalScalar:
 
     @classmethod
     def from_json(cls, data: Mapping, mode: str) -> FormalScalar:
+        _require_object(data, "scalar")
         if mode == MULTIPLICATIVE:
             return cls.multiplicative(data.get("exponents"), rat(data.get("phase", 0)))
         return cls.additive(data.get("coefficients"), rat(data.get("constant", 0)))
@@ -206,6 +212,7 @@ class SpectrumAssignment:
 
     @classmethod
     def from_json(cls, data: Mapping) -> SpectrumAssignment:
+        _require_object(data, "spectrum")
         mode = data.get("mode", MULTIPLICATIVE)
         declared = set(data.get("symbols", []))
         classes = []

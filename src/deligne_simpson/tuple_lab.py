@@ -34,10 +34,8 @@ from typing import Mapping, Sequence
 from . import exact_linalg as xl
 from .exact_linalg import RatMatrix, rat, rational_from_str, rational_to_str
 from .jnf import Jnf, Partition
-from .reduction import JnfTuple, expected_dim  # noqa: F401  (re-exported)
-
-MULTIPLICATIVE = "multiplicative"
-ADDITIVE = "additive"
+from .reduction import JnfTuple, expected_dim, kappa  # noqa: F401  (re-exported)
+from .spectra import ADDITIVE, MULTIPLICATIVE
 
 
 class TupleLabError(Exception):
@@ -213,8 +211,9 @@ def jordan_realization(j: Jnf, values: Mapping[str, int | str | Fraction] | None
 
 def centralizer_dim_of(matrices: Sequence[RatMatrix]) -> int:
     """dim over Q of {X : [M, X] = 0 for every M}; at least 1 (scalars)."""
-    stacked = xl.vstack([xl.vectorize_commutator_map(m) for m in matrices])
-    return xl.nullity(stacked)
+    n2 = matrices[0].rows ** 2
+    stacked = (row for m in matrices for row in xl.integer_intertwiner_rows(m, m))
+    return n2 - xl.integer_rank(stacked, n2 - 1)  # I is always in the kernel
 
 
 def centralizer_dim(t: MatrixTuple) -> int:
@@ -228,50 +227,42 @@ def has_trivial_centralizer(t: MatrixTuple) -> bool:
 def commut_surjective(t: MatrixTuple) -> bool:
     """True iff (X_1, ..., X_{p+1}) -> sum_j [M_j, X_j] maps onto the
     trace-zero matrices; equivalent to the centralizer being trivial."""
-    stacked = xl.hstack([xl.vectorize_commutator_map(m) for m in t.matrices])
-    return xl.rank(stacked) == t.n**2 - 1
+    # Each block may carry its own scale: scaling a column block changes no rank.
+    blocks = [xl.integer_intertwiner_rows(m, m) for m in t.matrices]
+    side_by_side = ([x for block in blocks for x in block[r]] for r in range(t.n**2))
+    # the image lies in the trace-zero matrices, so the rank is at most n^2 - 1
+    return xl.integer_rank(side_by_side, t.n**2 - 1) == t.n**2 - 1
+
+
+def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    bcols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bcols] for row in a]
 
 
 def is_irreducible(t: MatrixTuple) -> bool:
     """Burnside criterion: the unital algebra generated by the matrices has
     dimension n^2.  The span is closed by repeatedly multiplying the current
-    basis by the generators; starting from I that reaches every word."""
+    basis by the generators; starting from I that reaches every word.
+    Generators are scaled to integers, which changes no span."""
     n = t.n
     target = n * n
-    generators = list(t.matrices)
-    basis_rows: list[list[Fraction]] = []
-    pivots: list[int] = []
-
-    def try_add(vec: list[Fraction]) -> bool:
-        for row, piv in zip(basis_rows, pivots):
-            if vec[piv] != 0:
-                f = vec[piv]
-                vec = [x - f * y for x, y in zip(vec, row)]
-        lead = next((i for i, x in enumerate(vec) if x != 0), None)
-        if lead is None:
-            return False
-        inv = 1 / vec[lead]
-        vec = [x * inv for x in vec]
-        basis_rows.append(vec)
-        pivots.append(lead)
-        return True
-
-    frontier = [RatMatrix.identity(n)] + generators
+    generators = [xl.integer_matrix(m) for m in t.matrices]
+    basis = xl.IntEchelon()
+    frontier = [[[int(i == j) for j in range(n)] for i in range(n)]] + generators
     for m in frontier:
-        try_add(list(m.entries))
-    for _ in range(target):
-        if len(basis_rows) == target:
-            break
+        basis.add(x for row in m for x in row)
+    # Each round that finds a new product grows the basis, so this ends.
+    while frontier and len(basis) < target:
         new_frontier = []
         for m in frontier:
             for g in generators:
-                prod = m @ g
-                if try_add(list(prod.entries)):
+                prod = _int_matmul(m, g)
+                if basis.add(x for row in prod for x in row):
+                    if len(basis) == target:
+                        return True
                     new_frontier.append(prod)
-        if not new_frontier:
-            break
         frontier = new_frontier
-    return len(basis_rows) == target
+    return len(basis) == target
 
 
 def _product_differential(t: MatrixTuple) -> RatMatrix:
@@ -339,7 +330,7 @@ def report(t: MatrixTuple) -> dict:
     out["trivial_centralizer"] = cdim == 1
     out["commutator_map_surjective"] = commut_surjective(t)
     out["irreducible"] = is_irreducible(t)
-    out["orbit_dim"] = orbit_dim(t)
+    out["orbit_dim"] = t.n**2 - cdim
     if closed:
         out["tangent_dim"] = tangent_dim(t)
         out["tangent_dim_is_formal"] = cdim != 1
@@ -348,10 +339,8 @@ def report(t: MatrixTuple) -> dict:
         out["tangent_dim_is_formal"] = None
     if jnfs is not None:
         jt = JnfTuple(jnfs)
-        from .reduction import kappa as _kappa
-
         out["expected_dim"] = expected_dim(jt)
-        out["kappa"] = _kappa(jt)
+        out["kappa"] = kappa(jt)
     else:
         out["expected_dim"] = None
         out["kappa"] = None

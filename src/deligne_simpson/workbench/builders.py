@@ -275,8 +275,9 @@ def build_semidirect_point(rigid: MatrixTuple, r4: RatMatrix | None = None) -> M
 
 def hom_dim(a: Sequence[RatMatrix], b: Sequence[RatMatrix]) -> int:
     """dim over Q of {Y : A_j Y = Y B_j for all j} (intertwiners b -> a)."""
-    stacked = xl.vstack([xl.left_mul_matrix(x) - xl.right_mul_matrix(y) for x, y in zip(a, b)])
-    return xl.nullity(stacked)
+    n2 = a[0].rows ** 2
+    stacked = (row for x, y in zip(a, b) for row in xl.integer_intertwiner_rows(x, y))
+    return n2 - xl.integer_rank(stacked, n2)
 
 
 # Classes of the three-class size-4 example: eigenvalues (a,a,b,c),

@@ -75,6 +75,27 @@ def test_analyze_malformed_inputs(tmp_path, capsys):
     )
     code, _, err = run(capsys, "analyze", "-i", str(mismatched))
     assert code == 2 and "does not match" in err
+    for spectrum in ([1], "x", {"classes": [[{"scalar": [1], "mult": 1}]]}):
+        payload = json.loads((FIXTURES / "example1.analyze.json").read_text(encoding="utf-8"))
+        payload["spectrum"] = spectrum
+        path = tmp_path / "bad_spectrum.json"
+        path.write_text(dumps(payload), encoding="utf-8")
+        code, _, err = run(capsys, "analyze", "-i", str(path))
+        assert code == 2 and "bad spectrum" in err
+
+
+def test_verify_singular_multiplicative_matrix_is_input_error(tmp_path, capsys):
+    path = tmp_path / "singular.json"
+    path.write_text(
+        dumps({
+            "mode": "multiplicative",
+            "matrices": [[["1", "0"], ["0", "0"]], [["1", "0"], ["0", "1"]]],
+            "eigenvalues": [["1", "2"], ["1", "1"]],
+        }),
+        encoding="utf-8",
+    )
+    code, _, err = run(capsys, "verify", "-i", str(path), "--json")
+    assert code == 2 and "singular" in err
 
 
 def test_analyze_skips_oversized_spectra(tmp_path, capsys):

@@ -1,0 +1,216 @@
+"""Oracle tests for the fraction-free integer path.
+
+The centralizer, commutator-map and intertwiner checks write their
+operators down entry by entry over the integers, scaling each matrix (or
+each pair of matrices) to clear denominators.  Here they are compared with
+the dense operator construction left_mul_matrix - right_mul_matrix over
+Fraction, and the Burnside closure with the span of every word of length
+at most n^2, ranked by cofactor minors.  The seeded tuples give each matrix
+its own non-integer denominators, so a scale chosen for the wrong set of
+matrices changes the answer.
+"""
+
+import itertools
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from deligne_simpson import exact_linalg as xl
+from deligne_simpson import tuple_lab as tl
+from deligne_simpson.exact_linalg import IntEchelon, RatMatrix
+from deligne_simpson.tuple_lab import MatrixTuple
+from deligne_simpson.workbench import hom_dim
+
+from conftest import random_invertible
+from oracles import commutation_system, entrywise_product, minor_rank
+
+DENOMINATORS = (2, 3, 5, 7, 11)
+
+
+def fraction_matrix(rng, n, denominator, upper=False):
+    """Entries p / q with q in {1, d, d^2}; upper-triangular when asked."""
+    return RatMatrix(n, n, [
+        F(rng.randint(-4, 4), rng.choice([1, denominator, denominator**2]))
+        if not upper or i <= j else F(0)
+        for i in range(n) for j in range(n)
+    ])
+
+
+def conjugate_all(mats, g):
+    ginv = xl.inverse(g)
+    return [g @ m @ ginv for m in mats]
+
+
+def seeded_tuple(rng, n, count, structure):
+    """Matrices with distinct denominators: generic (usually trivial
+    centralizer), direct_sum (centralizer >= 2) or triangular (reducible)."""
+    dens = rng.sample(DENOMINATORS, count)
+    if structure == "generic":
+        return [fraction_matrix(rng, n, d) for d in dens]
+    g = random_invertible(rng, n).scale(F(1, rng.choice(DENOMINATORS)))
+    if structure == "triangular":
+        return conjugate_all([fraction_matrix(rng, n, d, upper=True) for d in dens], g)
+    k = rng.randint(1, n - 1)
+    mats = []
+    for d in dens:
+        a, b = fraction_matrix(rng, k, d), fraction_matrix(rng, n - k, d)
+        rows = [list(a.row(i)) + [F(0)] * (n - k) for i in range(k)]
+        rows += [[F(0)] * k + list(b.row(i)) for i in range(n - k)]
+        mats.append(RatMatrix.from_rows(rows))
+    return conjugate_all(mats, g)
+
+
+def dense_commutator_blocks(mats):
+    return [xl.left_mul_matrix(m) - xl.right_mul_matrix(m) for m in mats]
+
+
+CASES = [
+    (seed, n, count, structure)
+    for seed, (n, count, structure) in enumerate(
+        (n, count, structure)
+        for n in (2, 3, 4)
+        for count in (2, 3)
+        for structure in ("generic", "direct_sum", "triangular")
+    )
+]
+
+
+@pytest.mark.parametrize("seed,n,count,structure", CASES)
+def test_centralizer_and_commutator_map_match_dense_operators(seed, n, count, structure):
+    rng = random.Random(100 + seed)
+    mats = seeded_tuple(rng, n, count, structure)
+    dense = dense_commutator_blocks(mats)
+    cdim = tl.centralizer_dim_of(mats)
+    assert cdim == xl.nullity(xl.vstack(dense))
+    if structure == "direct_sum":
+        assert cdim >= 2
+    t = MatrixTuple("additive", mats, [[0] * n] * count)
+    assert tl.commut_surjective(t) == (xl.rank(xl.hstack(dense)) == n * n - 1)
+    assert tl.commut_surjective(t) == (cdim == 1)
+
+
+@pytest.mark.parametrize("seed,n,count", [(s, n, c) for s in range(3) for n in (2, 3, 4) for c in (2, 3)])
+def test_hom_dim_uses_one_scale_per_pair(seed, n, count):
+    rng = random.Random(200 + 10 * n + seed)
+    a = seeded_tuple(rng, n, count, rng.choice(["generic", "direct_sum"]))
+    g = random_invertible(rng, n).scale(F(1, rng.choice([13, 17, 19])))
+    b = conjugate_all(a, xl.inverse(g))  # b_j = g^-1 a_j g, so Y = Z g intertwines
+    assert any(xl.denominator_lcm([x]) != xl.denominator_lcm([y]) for x, y in zip(a, b))
+    dense = xl.vstack([xl.left_mul_matrix(x) - xl.right_mul_matrix(y) for x, y in zip(a, b)])
+    got = hom_dim(a, b)
+    assert got == xl.nullity(dense)
+    assert got == tl.centralizer_dim_of(a) >= 1
+    other = seeded_tuple(rng, n, count, "generic")
+    dense = xl.vstack([xl.left_mul_matrix(x) - xl.right_mul_matrix(y) for x, y in zip(a, other)])
+    assert hom_dim(a, other) == xl.nullity(dense)
+
+
+def word_span_rank(mats):
+    """Rank of the span of every word of length <= n^2 in mats (the empty
+    word is I), by a greedy basis ranked with cofactor minors."""
+    n = mats[0].rows
+    lists = [m.row_lists() for m in mats]
+    identity = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    basis: list[list[F]] = []
+    seen = set()
+    for length in range(n * n + 1):
+        for word in itertools.product(lists, repeat=length):
+            m = entrywise_product([identity, *word])
+            flat = tuple(x for row in m for x in row)
+            if flat in seen:
+                continue
+            seen.add(flat)
+            if minor_rank(basis + [list(flat)]) > len(basis):
+                basis.append(list(flat))
+                if len(basis) == n * n:
+                    return n * n
+    return len(basis)
+
+
+@pytest.mark.parametrize("seed,count,structure", [
+    (s, c, st) for s in range(4) for c in (1, 2, 3) for st in ("generic", "triangular")
+])
+def test_is_irreducible_matches_word_span(seed, count, structure):
+    rng = random.Random(300 + seed)
+    mats = seeded_tuple(rng, 2, count, structure)
+    t = MatrixTuple("additive", mats, [[0, 0]] * count)
+    span = word_span_rank(mats)
+    assert tl.is_irreducible(t) == (span == 4)
+    if structure == "triangular":
+        assert span < 4
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_is_irreducible_needs_words_of_length_three(seed):
+    # diag(d) and a weighted cyclic shift p span diag * {I, p, p^2}; words of
+    # length <= 2 give only 7 of those 9 dimensions, so the closure must
+    # run more than one round.  The word oracle stops once it reaches n^2,
+    # which keeps it cheap for irreducible tuples only.
+    rng = random.Random(400 + seed)
+    d = RatMatrix.diagonal([F(v, 2) for v in rng.sample([-5, -3, -1, 1, 3, 5, 7], 3)])
+    weights = [F(rng.choice([-3, -1, 1, 2]), 5**k) for k in (1, 2, 1)]
+    p = RatMatrix.from_rows([[0, weights[0], 0], [0, 0, weights[1]], [weights[2], 0, 0]])
+    t = MatrixTuple("additive", [d, p], [[0] * 3] * 2)
+    assert word_span_rank([d, p]) == 9
+    assert tl.is_irreducible(t)
+
+
+def test_intertwiner_rows_match_dense_operators():
+    rng = random.Random(7)
+    for n in (1, 2, 3, 4):
+        a, b = fraction_matrix(rng, n, 3), fraction_matrix(rng, n, 5)
+        rows = xl.intertwiner_rows(a.row_lists(), b.row_lists())
+        assert RatMatrix.from_rows(rows) == xl.left_mul_matrix(a) - xl.right_mul_matrix(b)
+        assert xl.vectorize_commutator_map(a) == RatMatrix.from_rows(commutation_system(a.row_lists()))
+    with pytest.raises(xl.ShapeMismatchError):
+        xl.intertwiner_rows([[1, 2], [3, 4]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(xl.ShapeMismatchError):
+        xl.vectorize_commutator_map(RatMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+    with pytest.raises(xl.ShapeMismatchError):
+        hom_dim([RatMatrix.identity(2)], [RatMatrix.identity(3)])
+
+
+def test_integer_matrix_scales_by_denominator_lcm():
+    m = RatMatrix.from_rows([[F(1, 2), F(1, 3)], [F(-5, 6), 4]])
+    assert xl.integer_matrix(m) == [[3, 2], [-5, 24]]
+    assert xl.integer_matrix(m, 12) == [[6, 4], [-10, 48]]
+    assert xl.denominator_lcm([m, RatMatrix.from_rows([[F(1, 4)]])]) == 12
+    assert all(type(x) is int for row in xl.integer_matrix(m) for x in row)
+
+
+def test_int_echelon_zero_and_repeated_rows():
+    basis = IntEchelon()
+    assert not basis.add([0, 0, 0])
+    assert len(basis) == 0
+    assert basis.add([2, 4, 6])
+    for again in ([2, 4, 6], [1, 2, 3], [-3, -6, -9], [0, 0, 0]):
+        assert not basis.add(again)
+    assert len(basis) == 1
+    assert basis.add([0, 1, 1])
+    assert not basis.add([5, 11, 16])  # 5 * (1, 2, 3) + (0, 1, 1)
+    assert len(basis) == 2
+
+
+def test_int_echelon_gcd_normalisation():
+    basis = IntEchelon()
+    assert basis.add([6, 9, 12])
+    assert basis.rows == [[2, 3, 4]]
+    assert basis.add([4, 6, 10])  # reduces to a multiple of (0, 0, 1)
+    assert basis.rows[1] in ([0, 0, 1], [0, 0, -1])
+    assert basis.pivots == [0, 2]
+
+
+def test_int_echelon_entries_stay_int_and_rank_matches_minors():
+    rng = random.Random(13)
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        factor = rng.choice([1, 6, 35, 2**70])
+        rows = [[factor * rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
+        basis = IntEchelon()
+        for row in rows:
+            basis.add(row)
+        assert all(type(x) is int for row in basis.rows for x in row)
+        assert all(xl.math.gcd(*row) == 1 for row in basis.rows)
+        assert len(basis) == minor_rank([[F(x) for x in row] for row in rows])
+        assert len(basis) == xl.integer_rank(rows, ncols)
