@@ -157,6 +157,8 @@ def cmd_verify(args) -> int:
         tup = tl.MatrixTuple.from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad matrix tuple: {exc}") from exc
+    if len(tup) < 2:
+        raise InputError("bad matrix tuple: need at least two matrices")
     try:
         report = tl.report(tup)
     except SingularMatrixError as exc:

@@ -5,15 +5,17 @@ floating point anywhere.  Every rank and dimension check runs on one
 kernel, ``IntEchelon``: an incremental fraction-free echelon over the
 integers (after Bareiss, Math. Comp. 22, 1968), fed rows whose denominators
 have been cleared by scaling (``integer_matrix``).  Scaling a row, or a whole
-operator block, by a nonzero integer changes no rank.  Nullspace bases,
-inverses and solutions use Gauss-Jordan over Fraction (``_rref``).
+operator block, by a nonzero integer changes no rank.  The reduced row
+echelon form behind ``rref``, nullspace bases, inverses and solutions is the
+same echelon basis followed by a fraction-free back-substitution.
 
 Vectorization convention: an n x n matrix X maps to the length n**2 vector
 vec(X) listing entries row by row (row-major).  All operator matrices here
 share this ordering.  The intertwiner map X -> AX - XB, and with it the
 commutator map, is written down entry by entry in O(n^4)
 (``intertwiner_rows``) rather than assembled from the dense left and right
-multiplication operators, which remain for the product differential.
+multiplication operators, which remain for the corner differential
+(``tuple_lab.corner_differential``).
 
 Serialization: rationals are strings "p/q" or "p" with the sign on the
 numerator; matrices are JSON arrays of arrays of such strings.
@@ -62,7 +64,7 @@ def rat(value: int | str | Fraction) -> Fraction:
     """Coerce an int, Fraction, or "p/q" string to a Fraction."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return rational_from_str(value)
@@ -233,14 +235,11 @@ def vstack(matrices: Sequence[RatMatrix]) -> RatMatrix:
     return RatMatrix(sum(m.rows for m in matrices), cols, out)
 
 
-def _integer_rows(m: RatMatrix) -> list[list[int]]:
-    # Row scaling does not change the rank, so clear denominators per row.
-    rows = []
-    for i in range(m.rows):
-        row = m.row(i)
-        scale = math.lcm(*(x.denominator for x in row)) if row else 1
-        rows.append([int(x * scale) for x in row])
-    return rows
+def integer_row(values: Sequence[Fraction]) -> list[int]:
+    """values times the lcm of their denominators, as ints: a row with the
+    same span, since row scaling changes no rank or row space."""
+    scale = math.lcm(*(x.denominator for x in values))
+    return [int(x * scale) for x in values]
 
 
 def integer_matrix(m: RatMatrix, scale: int | None = None) -> list[list[int]]:
@@ -279,24 +278,32 @@ class IntEchelon:
 
     def add(self, row: Iterable[int]) -> bool:
         """Insert row unless it lies in the span; True when it was new."""
-        v = list(row)
-        for b, c in zip(self.rows, self.pivots):
-            f = v[c]
-            if f:
-                p = b[c]
-                g = math.gcd(p, f)
-                p //= g
-                f //= g
-                v = [p * x - f * y for x, y in zip(v, b)]
+        v = _reduce(list(row), self.rows, self.pivots)
         lead = next((i for i, x in enumerate(v) if x), None)
         if lead is None:
             return False
-        g = math.gcd(*v)
-        if g > 1:
-            v = [x // g for x in v]
-        self.rows.append(v)
+        self.rows.append(_primitive(v))
         self.pivots.append(lead)
         return True
+
+
+def _reduce(v: list[int], rows: Sequence[list[int]], pivots: Sequence[int]) -> list[int]:
+    """v made zero in each pivot column, in turn, as p*v - f*b with p = b[c]
+    and f = v[c] over their gcd."""
+    for b, c in zip(rows, pivots):
+        f = v[c]
+        if f:
+            p = b[c]
+            g = math.gcd(p, f)
+            p //= g
+            f //= g
+            v = [p * x - f * y for x, y in zip(v, b)]
+    return v
+
+
+def _primitive(v: list[int]) -> list[int]:
+    g = math.gcd(*v)
+    return [x // g for x in v] if g > 1 else v
 
 
 def integer_rank(rows: Iterable[Sequence[int]], bound: int) -> int:
@@ -312,41 +319,43 @@ def integer_rank(rows: Iterable[Sequence[int]], bound: int) -> int:
 
 def rank(m: RatMatrix) -> int:
     """Rank over the rationals, via the integer echelon kernel."""
-    return integer_rank(_integer_rows(m), min(m.rows, m.cols))
+    return integer_rank((integer_row(m.row(i)) for i in range(m.rows)), min(m.rows, m.cols))
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form in place; returns (rows, pivot column indices)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+def _reduced_echelon(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """The nonzero rows of the reduced row echelon form, with their pivot
+    columns in increasing order.
+
+    ``IntEchelon`` stores each row zero in the pivot columns of the rows
+    stored before it.  Going back from the last row, each row is reduced
+    against the rows after it, which are already zero in every other pivot
+    column, so each pivot column ends up zero outside its own row; then each
+    row is divided by its pivot.  The reduced echelon form of a row space is
+    unique, so this is exactly the Gauss-Jordan result.
+    """
+    basis = IntEchelon()
+    for row in rows:
+        basis.add(integer_row(row))
+    reduced, pivots = basis.rows, basis.pivots
+    for i in reversed(range(len(reduced))):
+        reduced[i] = _primitive(_reduce(reduced[i], reduced[i + 1 :], pivots[i + 1 :]))
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return (
+        [[Fraction(x, reduced[i][pivots[i]]) for x in reduced[i]] for i in order],
+        [pivots[i] for i in order],
+    )
 
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
-    rows, pivots = _rref(m.row_lists())
+    """Reduced row echelon form (zero rows last) and its pivot columns."""
+    rows, pivots = _reduced_echelon(m.row_lists())
+    rows += [[Fraction(0)] * m.cols] * (m.rows - len(rows))
     return RatMatrix.from_rows(rows), tuple(pivots)
 
 
 def nullspace_basis(m: RatMatrix) -> list[RatMatrix]:
     """Exact basis of the right kernel, as column vectors; len = cols - rank."""
-    rows, pivots = _rref(m.row_lists())
+    rows, pivots = _reduced_echelon(m.row_lists())
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
     basis = []
@@ -368,8 +377,8 @@ def inverse(m: RatMatrix) -> RatMatrix:
         raise ShapeMismatchError("inverse needs a square matrix")
     n = m.rows
     aug = [list(m.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    rows, pivots = _rref(aug)
-    if list(pivots) != list(range(n)):
+    rows, pivots = _reduced_echelon(aug)
+    if pivots != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     return RatMatrix.from_rows([r[n:] for r in rows])
 
@@ -379,11 +388,8 @@ def solve(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     if a.rows != b.rows:
         raise ShapeMismatchError("incompatible right-hand side")
     aug = [list(a.row(i)) + list(b.row(i)) for i in range(a.rows)]
-    rows, pivots = _rref(aug)
+    rows, pivots = _reduced_echelon(aug)
     ncols = a.cols
-    for r in range(len(pivots), a.rows):
-        if any(x != 0 for x in rows[r][ncols:]):
-            raise NoSolutionError("inconsistent linear system")
     if pivots and pivots[-1] >= ncols:
         raise NoSolutionError("inconsistent linear system")
     out = [[Fraction(0)] * b.cols for _ in range(ncols)]

@@ -23,13 +23,21 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 
+def _integer(value) -> int:
+    """value when it is an int; a block size or multiplicity read from JSON as
+    2.5, "2" or true is an error, not 2 or 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 class Partition:
     """A non-increasing tuple of positive integers; constructors sort."""
 
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int]):
-        data = tuple(sorted((int(p) for p in parts), reverse=True))
+        data = tuple(sorted((_integer(p) for p in parts), reverse=True))
         if not data:
             raise ValueError("partition must be non-empty")
         if data[-1] < 1:
@@ -93,7 +101,7 @@ class Jnf:
     @classmethod
     def diagonal(cls, multiplicities: Sequence[int], labels: Sequence[str] | None = None) -> Jnf:
         """Diagonal JNF from eigenvalue multiplicities; labels default to e1, e2, ..."""
-        mults = sorted((int(m) for m in multiplicities), reverse=True)
+        mults = sorted((_integer(m) for m in multiplicities), reverse=True)
         if labels is None:
             labels = [f"e{i + 1}" for i in range(len(mults))]
         return cls((lab, Partition([1] * m)) for lab, m in zip(labels, mults))

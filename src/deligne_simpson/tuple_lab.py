@@ -17,8 +17,11 @@ The checks provided:
   onto the trace-zero matrices);
 * ``is_irreducible`` -- the generated unital algebra has dimension n^2
   (Burnside's criterion);
+* ``corner_differential`` -- the linear map that the upper-right block of
+  a product (or sum) of block upper-triangular matrices depends on; with
+  equal diagonal blocks, the product/sum differential;
 * ``tangent_dim`` -- dimension of the solution variety's tangent space at
-  the tuple, via the kernel of the product/sum differential;
+  the tuple, via the kernel of that differential;
 * ``orbit_dim`` -- dimension of the simultaneous conjugation orbit.
 
 All dimensions are reported in the full matrix algebra gl(n) convention;
@@ -28,6 +31,7 @@ minus 1 when the determinant constraint is transverse.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -265,19 +269,28 @@ def is_irreducible(t: MatrixTuple) -> bool:
     return len(basis) == target
 
 
-def _product_differential(t: MatrixTuple) -> RatMatrix:
-    """Matrix of (X_1, ..., X_{p+1}) -> sum_j M_1...M_{j-1} [X_j, M_j]
-    M_{j+1}...M_{p+1} (multiplicative) or sum_j [X_j, A_j] (additive)."""
-    blocks = []
-    mats = t.matrices
-    for j, m in enumerate(mats):
-        ad = xl.right_mul_matrix(m) - xl.left_mul_matrix(m)  # vec([X, m])
-        if t.mode == MULTIPLICATIVE:
-            prefix = xl.product(mats[:j]) if j else RatMatrix.identity(t.n)
-            suffix = xl.product(mats[j + 1 :]) if j + 1 < len(mats) else RatMatrix.identity(t.n)
-            ad = xl.left_mul_matrix(prefix) @ (xl.right_mul_matrix(suffix) @ ad)
-        blocks.append(ad)
-    return xl.hstack(blocks)
+def corner_differential(ls: Sequence[RatMatrix], bs: Sequence[RatMatrix], mode: str) -> RatMatrix:
+    """Matrix of (Y_1, ..., Y_k) -> sum_j L_1...L_{j-1} (L_j Y_j - Y_j B_j)
+    B_{j+1}...B_k (multiplicative) or sum_j (L_j Y_j - Y_j B_j) (additive).
+
+    This is how the upper-right block of the product of the block
+    upper-triangular matrices [[L_j, T_j], [0, B_j]] (resp. of their sum)
+    changes when T_j = L_j Y_j - Y_j B_j.  With L = B = M it is the
+    differential of the product (resp. sum) along the conjugacy classes,
+    up to a sign that changes no rank.  One column block per j, each built
+    from dense left and right multiplication operators.
+    """
+    blocks = (xl.left_mul_matrix(l) - xl.right_mul_matrix(b) for l, b in zip(ls, bs))
+    if mode == MULTIPLICATIVE:
+        identity = RatMatrix.identity(ls[0].rows)
+        # prefixes[j] = L_1...L_{j-1} and suffixes[j] = B_{j+1}...B_k, as running products
+        prefixes = [identity, *itertools.accumulate(ls[:-1], xl.matmul)]
+        suffixes = [*itertools.accumulate(reversed(bs[1:]), lambda acc, b: b @ acc)][::-1] + [identity]
+        blocks = (
+            xl.left_mul_matrix(prefix) @ (xl.right_mul_matrix(suffix) @ block)
+            for prefix, suffix, block in zip(prefixes, suffixes, blocks)
+        )
+    return xl.hstack(list(blocks))
 
 
 def tangent_dim(t: MatrixTuple) -> int:
@@ -285,11 +298,12 @@ def tangent_dim(t: MatrixTuple) -> int:
     same conjugacy classes with product I (resp. sum 0): the kernel of the
     product differential minus the per-matrix centralizer dimensions.  At
     points with trivial centralizer this equals ``expected_dim``; elsewhere
-    it is only a formal tangent dimension.
+    it is only a formal tangent dimension.  Raises ClosureViolatedError for
+    a tuple that does not close.
     """
     if not verify_closure(t):
         raise ClosureViolatedError("tuple does not close (product I / sum 0)")
-    theta = _product_differential(t)
+    theta = corner_differential(t.matrices, t.matrices, t.mode)
     kernel_dim = theta.cols - xl.rank(theta)
     single = sum(centralizer_dim_of([m]) for m in t.matrices)
     return kernel_dim - single
@@ -315,7 +329,11 @@ def jnf_tuple_of(t: MatrixTuple) -> JnfTuple:
 def report(t: MatrixTuple) -> dict:
     """Full JSON-able verification report for a tuple."""
     out: dict = {"mode": t.mode, "n": t.n, "count": len(t.matrices)}
-    closed = verify_closure(t)
+    try:
+        tangent = tangent_dim(t)
+    except ClosureViolatedError:
+        tangent = None
+    closed = tangent is not None
     out["closure"] = closed
     try:
         jnfs = [jnf_of(m, eigs) for m, eigs in zip(t.matrices, t.eigenvalue_lists)]
@@ -331,12 +349,8 @@ def report(t: MatrixTuple) -> dict:
     out["commutator_map_surjective"] = commut_surjective(t)
     out["irreducible"] = is_irreducible(t)
     out["orbit_dim"] = t.n**2 - cdim
-    if closed:
-        out["tangent_dim"] = tangent_dim(t)
-        out["tangent_dim_is_formal"] = cdim != 1
-    else:
-        out["tangent_dim"] = None
-        out["tangent_dim_is_formal"] = None
+    out["tangent_dim"] = tangent
+    out["tangent_dim_is_formal"] = cdim != 1 if closed else None
     if jnfs is not None:
         jt = JnfTuple(jnfs)
         out["expected_dim"] = expected_dim(jt)

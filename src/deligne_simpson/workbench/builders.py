@@ -35,6 +35,7 @@ from ..tuple_lab import (
     MatrixTuple,
     centralizer_dim,
     centralizer_dim_of,
+    corner_differential,
     is_irreducible,
     jnf_of,
     verify_closure,
@@ -248,15 +249,12 @@ def build_semidirect_point(rigid: MatrixTuple, r4: RatMatrix | None = None) -> M
     ns = list(rigid.matrices[:3])
     n4 = rigid.matrices[3]
     _check(n4 == RatMatrix.identity(2).scale(-1), "rigid quadruple must end with -I")
-    # sum_j prefix_j [N_j, Z_j] suffix_j = -(N1 N2 N3) R4 = R4
-    blocks = []
-    for j in range(3):
-        prefix = xl.product(ns[:j]) if j else RatMatrix.identity(2)
-        suffix = xl.product(ns[j + 1 :] + [n4]) if j < 2 else n4
-        ad = xl.left_mul_matrix(ns[j]) - xl.right_mul_matrix(ns[j])
-        blocks.append(xl.left_mul_matrix(prefix) @ (xl.right_mul_matrix(suffix) @ ad))
-    system = xl.hstack(blocks)
-    rhs = RatMatrix.column(r4.entries)
+    # The upper-right block of the product is
+    # sum_j N_1...N_{j-1} [N_j, Z_j] N_{j+1}...N_3 N_4 + N_1 N_2 N_3 R_4; as
+    # N_4 = N_1 N_2 N_3 = -I, it vanishes when the corner differential of
+    # (N_1, N_2, N_3) maps (Z_1, Z_2, Z_3) to -R_4.
+    system = corner_differential(ns, ns, MULTIPLICATIVE)
+    rhs = RatMatrix.column(r4.scale(-1).entries)
     try:
         solution = xl.solve(system, rhs)
     except xl.NoSolutionError as exc:  # impossible for an irreducible triple
@@ -343,39 +341,30 @@ def triangular_spaces(first: MatrixTuple, second: MatrixTuple) -> dict:
     """
     ls = first.matrices
     bs = second.matrices
-    maps = [xl.left_mul_matrix(l) - xl.right_mul_matrix(b) for l, b in zip(ls, bs)]
-    zero = RatMatrix.zero(4, 4)
-    phi = xl.vstack([
-        xl.hstack([maps[0], zero, zero]),
-        xl.hstack([zero, maps[1], zero]),
-        xl.hstack([zero, zero, maps[2]]),
+    # maps[j]: the rows of Y -> L_j Y - Y B_j; phi applies them block by block
+    maps = [xl.intertwiner_rows(l.row_lists(), b.row_lists()) for l, b in zip(ls, bs)]
+    size = len(maps[0])
+    phi = RatMatrix.from_rows([
+        [0] * (size * j) + row + [0] * (size * (len(maps) - 1 - j))
+        for j, rows in enumerate(maps) for row in rows
     ])
-    constraint = xl.hstack([
-        xl.right_mul_matrix(bs[1] @ bs[2]),
-        xl.left_mul_matrix(ls[0]) @ xl.right_mul_matrix(bs[2]),
-        xl.left_mul_matrix(ls[0] @ ls[1]),
-    ])
-    # T = image(phi) intersected with ker(constraint); since ker(phi) is
-    # inside ker(constraint . phi), dim T = rank(phi) - rank(constraint . phi)
-    composed = constraint @ phi
-    kernel = xl.nullspace_basis(composed)
+    # The upper-right block of the product condition, as a function of the
+    # Y_j, is the corner differential; T is phi of its kernel.
+    kernel = xl.nullspace_basis(corner_differential(ls, bs, MULTIPLICATIVE))
+    t_basis = xl.IntEchelon()
     t_vectors: list[RatMatrix] = []
-    t_rows: list[list[Fraction]] = []
     for vec in kernel:
         image = phi @ vec
-        candidate = t_rows + [list(image.entries)]
-        if xl.rank(RatMatrix.from_rows(candidate)) > len(t_rows):
-            t_rows = candidate
+        if t_basis.add(xl.integer_row(image.entries)):
             t_vectors.append(image)
-    psi = xl.vstack(maps)
-    q_vectors = [psi @ RatMatrix.column([Fraction(int(i == k)) for i in range(4)]) for k in range(4)]
-    q_rows = [list(v.entries) for v in q_vectors]
-    dim_q = xl.rank(RatMatrix.from_rows(q_rows))
-    representative = None
-    for vec in t_vectors:
-        if xl.rank(RatMatrix.from_rows(q_rows + [list(vec.entries)])) > dim_q:
-            representative = vec
-            break
+    # one common Y: column k of the stacked maps is the image of the k-th unit matrix
+    q_vectors = [RatMatrix.column([row[k] for rows in maps for row in rows]) for k in range(size)]
+    q_basis = xl.IntEchelon()
+    for vec in q_vectors:
+        q_basis.add(xl.integer_row(vec.entries))
+    dim_q = len(q_basis)
+    # the first basis vector of T outside the conjugation subspace
+    representative = next((vec for vec in t_vectors if q_basis.add(xl.integer_row(vec.entries))), None)
     _check(representative is not None, "no representative outside the conjugation subspace")
     return {
         "dim_full": len(t_vectors),

@@ -18,112 +18,76 @@ from . import builders
 from .fixtures import Expectation, Fixture, builtin_corpus
 
 
-def _eval_jnf_tuple_op(fixture: Fixture, exp: Expectation):
-    t = fixture.jnf_tuple_named(exp.target)
-    op = exp.operation
-    if op == "kappa":
-        return rd.kappa(t)
-    if op == "expected_dim":
-        return rd.expected_dim(t)
-    if op == "alpha":
-        return rd.check_alpha(t)
-    if op == "beta":
-        return rd.check_beta(t)
-    if op == "omega":
-        return rd.check_omega(t)
-    if op == "rigidity":
-        return rd.classify_rigidity(t).kind.value
-    if op == "solvable":
-        return rd.solvable_generic(t).verdict.solvable
-    if op == "chain":
-        return list(rd.solvable_generic(t).sizes())
-    if op == "kappa_invariant_along_trace":
-        trace = rd.solvable_generic(t)
-        return len({rd.kappa(step.tuple) for step in trace.steps}) == 1
-    if op == "choice_independent_verdict":
-        traces = rd.explore_all_traces(t)
-        return len({trc.verdict.solvable for trc in traces}) == 1
-    if op == "classes_correspond":
-        other = fixture.aux_jnf_tuples[exp.params["other"]]
-        i = exp.params["index"]
-        return corresponds(t.jnfs[i], other.jnfs[i])
-    raise KeyError(op)
+def _basic(s, read, absent=None):
+    basic = sp.basic_relation(s)
+    return absent if basic is None else read(basic)
 
 
-def _eval_spectrum_op(fixture: Fixture, exp: Expectation):
-    s = fixture.spectrum_named(exp.target)
-    op = exp.operation
-    if op == "classify":
-        return sp.classify(s).verdict
-    if op == "is_generic":
-        return sp.is_generic(s).verdict
-    if op == "global_condition":
-        return sp.global_condition(s)
-    if op in ("basic_q", "basic_m", "basic_root_phase", "basic_relation_present"):
-        basic = sp.basic_relation(s)
-        if op == "basic_q":
-            return 1 if basic is None else basic.q
-        if basic is None:
-            return None
-        if op == "basic_m":
-            return basic.m
-        if op == "basic_root_phase":
-            return None if basic.root_phase is None else str(basic.root_phase)
-        return basic.relation is not None
-    if op == "contains_witness":
-        witnesses = [w.to_json() for w in sp.all_relations(s)]
-        return exp.params["witness"] in witnesses
-    if op == "witness_count":
-        return len(sp.all_relations(s))
-    raise KeyError(op)
+def _jnf_of_matrix(t, i: int) -> list:
+    out = tl.jnf_of(t.matrices[i], t.eigenvalue_lists[i]).to_json()
+    return out if isinstance(out, list) else [out]
 
 
-def _eval_tuple_op(fixture: Fixture, exp: Expectation):
-    t = fixture.tuple_named(exp.target)
-    op = exp.operation
-    if op == "closure":
-        return tl.verify_closure(t)
-    if op == "centralizer_dim":
-        return tl.centralizer_dim(t)
-    if op == "trivial_centralizer":
-        return tl.has_trivial_centralizer(t)
-    if op == "commut_surjective":
-        return tl.commut_surjective(t)
-    if op == "irreducible":
-        return tl.is_irreducible(t)
-    if op == "tangent_dim":
-        return tl.tangent_dim(t)
-    if op == "orbit_dim":
-        return tl.orbit_dim(t)
-    if op == "kappa_of_tuple":
-        return rd.kappa(tl.jnf_tuple_of(t))
-    if op == "expected_dim_of_tuple":
-        return rd.expected_dim(tl.jnf_tuple_of(t))
-    if op == "jnf_of_matrix":
-        i = exp.params["index"]
-        j = tl.jnf_of(t.matrices[i], t.eigenvalue_lists[i])
-        out = j.to_json()
-        return out if isinstance(out, list) else [out]
-    if op == "in_declared_classes":
-        for matrix, jnf_json in zip(t.matrices, exp.params["jnfs"]):
-            if not tl.class_membership(matrix, Jnf.from_json(jnf_json)):
-                return False
-        return True
-    if op == "hom_dim":
-        other = fixture.matrix_tuples[exp.params["other"]]
-        return builders.hom_dim(t.matrices, other.matrices)
-    if op == "nilpotent_rank1_corner":
-        m = t.matrices[-1]
-        half = t.n // 2
-        corner = RatMatrix.from_rows(
-            [[m[i, j] for j in range(half, t.n)] for i in range(half)]
-        )
-        return (
-            corner.trace() == 0
-            and rank(corner) == 1
-            and (corner @ corner).is_zero()
-        )
-    raise KeyError(op)
+def _nilpotent_rank1_corner(t) -> bool:
+    m = t.matrices[-1]
+    half = t.n // 2
+    corner = RatMatrix.from_rows([[m[i, j] for j in range(half, t.n)] for i in range(half)])
+    return corner.trace() == 0 and rank(corner) == 1 and (corner @ corner).is_zero()
+
+
+# Per target kind: how a fixture resolves the target, and for each operation
+# a callable of (fixture, expectation, target object).  Entries reach library
+# functions through their modules (tl.tangent_dim, not a stored function
+# object), so a wrapper installed on a module attribute sees every call.
+_OPERATIONS = {
+    "jnf_tuple": (Fixture.jnf_tuple_named, {
+        "kappa": lambda f, e, t: rd.kappa(t),
+        "expected_dim": lambda f, e, t: rd.expected_dim(t),
+        "alpha": lambda f, e, t: rd.check_alpha(t),
+        "beta": lambda f, e, t: rd.check_beta(t),
+        "omega": lambda f, e, t: rd.check_omega(t),
+        "rigidity": lambda f, e, t: rd.classify_rigidity(t).kind.value,
+        "solvable": lambda f, e, t: rd.solvable_generic(t).verdict.solvable,
+        "chain": lambda f, e, t: list(rd.solvable_generic(t).sizes()),
+        "kappa_invariant_along_trace":
+            lambda f, e, t: len({rd.kappa(step.tuple) for step in rd.solvable_generic(t).steps}) == 1,
+        "choice_independent_verdict":
+            lambda f, e, t: len({trc.verdict.solvable for trc in rd.explore_all_traces(t)}) == 1,
+        "classes_correspond": lambda f, e, t: corresponds(
+            t.jnfs[e.params["index"]], f.aux_jnf_tuples[e.params["other"]].jnfs[e.params["index"]]
+        ),
+    }),
+    "spectrum": (Fixture.spectrum_named, {
+        "classify": lambda f, e, s: sp.classify(s).verdict,
+        "is_generic": lambda f, e, s: sp.is_generic(s).verdict,
+        "global_condition": lambda f, e, s: sp.global_condition(s),
+        "basic_q": lambda f, e, s: _basic(s, lambda b: b.q, 1),
+        "basic_m": lambda f, e, s: _basic(s, lambda b: b.m),
+        "basic_root_phase":
+            lambda f, e, s: _basic(s, lambda b: None if b.root_phase is None else str(b.root_phase)),
+        "basic_relation_present": lambda f, e, s: _basic(s, lambda b: b.relation is not None),
+        "contains_witness":
+            lambda f, e, s: e.params["witness"] in [w.to_json() for w in sp.all_relations(s)],
+        "witness_count": lambda f, e, s: len(sp.all_relations(s)),
+    }),
+    "tuple": (Fixture.tuple_named, {
+        "closure": lambda f, e, t: tl.verify_closure(t),
+        "centralizer_dim": lambda f, e, t: tl.centralizer_dim(t),
+        "trivial_centralizer": lambda f, e, t: tl.has_trivial_centralizer(t),
+        "commut_surjective": lambda f, e, t: tl.commut_surjective(t),
+        "irreducible": lambda f, e, t: tl.is_irreducible(t),
+        "tangent_dim": lambda f, e, t: tl.tangent_dim(t),
+        "orbit_dim": lambda f, e, t: tl.orbit_dim(t),
+        "kappa_of_tuple": lambda f, e, t: rd.kappa(tl.jnf_tuple_of(t)),
+        "expected_dim_of_tuple": lambda f, e, t: rd.expected_dim(tl.jnf_tuple_of(t)),
+        "jnf_of_matrix": lambda f, e, t: _jnf_of_matrix(t, e.params["index"]),
+        "in_declared_classes": lambda f, e, t: all(
+            tl.class_membership(m, Jnf.from_json(j)) for m, j in zip(t.matrices, e.params["jnfs"])
+        ),
+        "hom_dim": lambda f, e, t: builders.hom_dim(t.matrices, f.matrix_tuples[e.params["other"]].matrices),
+        "nilpotent_rank1_corner": lambda f, e, t: _nilpotent_rank1_corner(t),
+    }),
+}
 
 
 def evaluate_expectation(fixture: Fixture, exp: Expectation):
@@ -135,10 +99,13 @@ def evaluate_expectation(fixture: Fixture, exp: Expectation):
         key = "dim_full" if exp.params["which"] == "full" else "dim_conjugation"
         return spaces[key]
     if exp.target.startswith("tuple:"):
-        return _eval_tuple_op(fixture, exp)
-    if exp.target.startswith("spectrum"):
-        return _eval_spectrum_op(fixture, exp)
-    return _eval_jnf_tuple_op(fixture, exp)
+        kind = "tuple"
+    elif exp.target.startswith("spectrum"):
+        kind = "spectrum"
+    else:
+        kind = "jnf_tuple"
+    resolve, operations = _OPERATIONS[kind]
+    return operations[exp.operation](fixture, exp, resolve(fixture, exp.target))
 
 
 @dataclass(frozen=True)

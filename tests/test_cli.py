@@ -98,6 +98,31 @@ def test_verify_singular_multiplicative_matrix_is_input_error(tmp_path, capsys):
     assert code == 2 and "singular" in err
 
 
+def test_verify_malformed_tuples_are_input_errors(tmp_path, capsys):
+    single = {"mode": "additive", "matrices": [[["0", "0"], ["0", "0"]]], "eigenvalues": [["0", "0"]]}
+    boolean_entry = json.loads((FIXTURES / "example4_first_quadruple.verify.json").read_text(encoding="utf-8"))
+    boolean_entry["matrices"][0][1][1] = True  # the entry "1", spelled as a JSON boolean
+    for name, payload in (("single", single), ("boolean", boolean_entry)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, _, err = run(capsys, "verify", "-i", str(path), "--json")
+        assert code == 2 and "bad matrix tuple" in err, name
+
+
+def test_analyze_rejects_counts_that_are_not_integers(tmp_path, capsys):
+    for bad in ([2.5, 2.9], ["2", 2], [True, 3]):
+        payload = json.loads((FIXTURES / "example1.analyze.json").read_text(encoding="utf-8"))
+        payload["jnfs"][0]["multiplicities"] = bad
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, _, err = run(capsys, "analyze", "-i", str(path))
+        assert code == 2 and "bad JNF tuple" in err, bad
+    payload = json.loads((FIXTURES / "example1.analyze.json").read_text(encoding="utf-8"))
+    payload["jnfs"][3][0]["blocks"] = [2, 1.0, 1]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert run(capsys, "analyze", "-i", str(path))[0] == 2
+
+
 def test_analyze_skips_oversized_spectra(tmp_path, capsys):
     n = 14
     payload = {

@@ -19,6 +19,9 @@ def test_rational_strings():
     for bad in ("1.5", "3/-2", "a", "1/0", ""):
         with pytest.raises(ValueError):
             xl.rational_from_str(bad)
+    for bad in (True, False, 1.5):
+        with pytest.raises(TypeError):
+            xl.rat(bad)
 
 
 def test_rank_examples():
@@ -161,3 +164,71 @@ def test_inverse_times_self(a):
         return
     assert (inv @ a).is_identity()
     assert (a @ inv).is_identity()
+
+
+def deficient_matrix(rng, rows, cols):
+    """Rational rows x cols matrix with zero rows, rows that combine earlier
+    ones, and sometimes a zero column, in shuffled order."""
+    base = [[F(rng.randint(-5, 5), rng.choice([1, 2, 3, 7])) for _ in range(cols)]
+            for _ in range(rng.randint(1, rows))]
+    out = list(base)
+    while len(out) < rows:
+        if rng.random() < 0.3:
+            out.append([F(0)] * cols)
+        else:
+            coeffs = [F(rng.randint(-3, 3), rng.choice([1, 2, 5])) for _ in base]
+            out.append([sum((c * r[j] for c, r in zip(coeffs, base)), F(0)) for j in range(cols)])
+    if rng.random() < 0.3:
+        zero_col = rng.randrange(cols)
+        for row in out:
+            row[zero_col] = F(0)
+    rng.shuffle(out)
+    return RatMatrix.from_rows(out)
+
+
+ELIMINATION_CASES = [(seed, rows, cols) for seed in range(4) for rows in (1, 3, 5) for cols in (1, 4, 6)]
+
+
+@pytest.mark.parametrize("seed,rows,cols", ELIMINATION_CASES)
+def test_reduced_echelon_results_satisfy_their_definitions(seed, rows, cols):
+    rng = random.Random(700 + 100 * seed + 10 * rows + cols)
+    a = deficient_matrix(rng, rows, cols)
+    r = minor_rank(a.row_lists())
+
+    reduced, pivots = xl.rref(a)
+    assert (reduced.rows, reduced.cols) == (a.rows, a.cols)
+    assert len(pivots) == r and list(pivots) == sorted(set(pivots))
+    for i, c in enumerate(pivots):
+        assert all(x == 0 for x in reduced.row(i)[:c]) and reduced[i, c] == 1
+        assert all(reduced[k, c] == 0 for k in range(a.rows) if k != i)
+    assert all(x == 0 for x in reduced.entries[r * a.cols :])
+    # each row of a is the combination of the reduced rows given by its pivot
+    # entries; with len(pivots) == rank(a) the two row spaces are equal
+    for row in a.row_lists():
+        combo = [sum((row[c] * reduced[i, j] for i, c in enumerate(pivots)), F(0)) for j in range(a.cols)]
+        assert combo == row
+    assert xl.rref(reduced) == (reduced, pivots)
+
+    kernel = xl.nullspace_basis(a)
+    assert len(kernel) == a.cols - r
+    assert all((a @ v).is_zero() for v in kernel)
+    if kernel:
+        assert minor_rank([list(v.entries) for v in kernel]) == len(kernel)
+
+    x0 = RatMatrix(a.cols, 2, [F(rng.randint(-3, 3), rng.choice([1, 4])) for _ in range(2 * a.cols)])
+    b = a @ x0
+    assert a @ xl.solve(a, b) == b
+    b = RatMatrix(a.rows, 1, [F(rng.randint(-3, 3)) for _ in range(a.rows)])
+    if minor_rank(xl.hstack([a, b]).row_lists()) > r:
+        with pytest.raises(xl.NoSolutionError):
+            xl.solve(a, b)
+    else:
+        assert a @ xl.solve(a, b) == b
+
+    square = RatMatrix.from_rows([row[:rows] for row in deficient_matrix(rng, rows, max(rows, cols)).row_lists()])
+    if minor_rank(square.row_lists()) == rows:
+        inv = xl.inverse(square)
+        assert (square @ inv).is_identity() and (inv @ square).is_identity()
+    else:
+        with pytest.raises(xl.SingularMatrixError):
+            xl.inverse(square)

@@ -2,14 +2,18 @@
 
 The package is standard-library only and exact: every absolute import names
 the package itself or a standard-library module, and no float literal or
-``float(`` call appears anywhere in ``src/``.
+``float(`` call appears anywhere in ``src/``.  Every function the benchmark's
+tracer wraps still exists under the name it uses.
 """
 
 import ast
+import importlib
+import importlib.util
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 PACKAGE = "deligne_simpson"
 
 
@@ -44,3 +48,18 @@ def test_no_float_literals_or_float_calls():
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
                 offenders.append(f"{path}:{node.lineno} float(...)")
     assert not offenders
+
+
+def test_every_traced_layer_function_resolves():
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for entries in tracing.LAYERS.values():
+        for module_name, attr in entries:
+            owner = importlib.import_module(f"{tracing.PACKAGE}.{module_name}")
+            for part in attr.split("."):
+                owner = getattr(owner, part, None)
+            if not callable(owner):
+                missing.append(f"{module_name}.{attr}")
+    assert not missing

@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,7 @@ from deligne_simpson.workbench import (
 )
 
 from conftest import random_additive_tuple, random_invertible, random_matrix
-from oracles import minor_rank
+from oracles import entrywise_product, minor_rank
 
 
 def identity_tuple(n=2, count=3):
@@ -235,3 +237,114 @@ def test_report_shape():
     wrong = MatrixTuple("multiplicative", quad.matrices, [[7, 7, 7]] * 4)
     rep2 = tl.report(wrong)
     assert rep2["jnfs"] is None and rep2["expected_dim"] is None
+
+
+def test_report_checks_closure_once(monkeypatch):
+    calls = []
+    checked = tl.verify_closure
+    monkeypatch.setattr(tl, "verify_closure", lambda t: calls.append(t) or checked(t))
+    assert tl.report(build_trivial_centralizer_quadruple())["tangent_dim"] == 8
+    assert len(calls) == 1
+    two = RatMatrix.identity(2).scale(2)
+    rep = tl.report(MatrixTuple("multiplicative", [RatMatrix.identity(2), two], [[1, 1], [2, 2]]))
+    assert len(calls) == 2
+    assert rep["closure"] is False
+    assert rep["tangent_dim"] is None and rep["tangent_dim_is_formal"] is None
+    singular = RatMatrix.from_rows([[1, 2], [2, 4]])
+    with pytest.raises(xl.SingularMatrixError):
+        tl.report(MatrixTuple("multiplicative", [singular, singular], [[1, 1], [1, 1]]))
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+
+
+def tangent_oracle(t):
+    """p n^2 + dim C(t) - sum_j dim C(M_j) for p + 1 matrices: under the trace
+    pairing the image of the product (sum) differential is the orthogonal
+    complement of the tuple's centralizer C(t)."""
+    p = len(t) - 1
+    return p * t.n**2 + tl.centralizer_dim(t) - sum(tl.centralizer_dim_of([m]) for m in t.matrices)
+
+
+def closed_matrices(rng, mode, n, count):
+    if mode == "additive":
+        mats = [random_matrix(rng, n) for _ in range(count - 1)]
+        return mats + [-sum(mats[1:], mats[0])]
+    mats = [random_invertible(rng, n) for _ in range(count - 1)]
+    return mats + [xl.inverse(xl.product(mats))]
+
+
+def block_diagonal(a, b):
+    k, m = a.rows, b.rows
+    rows = [list(a.row(i)) + [F(0)] * m for i in range(k)]
+    rows += [[F(0)] * k + list(b.row(i)) for i in range(m)]
+    return RatMatrix.from_rows(rows)
+
+
+TANGENT_CASES = [
+    (seed, mode, n, count, structure)
+    for seed, (mode, (n, count, structure)) in enumerate(
+        (mode, shape)
+        for mode in ("multiplicative", "additive")
+        for shape in (
+            (2, 3, "generic"), (3, 3, "generic"), (4, 3, "generic"), (2, 4, "generic"),
+            (2, 3, "direct_sum"), (3, 3, "direct_sum"), (4, 3, "direct_sum"),
+            (2, 4, "doubled"), (4, 3, "doubled"),
+        )
+    )
+]
+
+
+@pytest.mark.parametrize("seed,mode,n,count,structure", TANGENT_CASES)
+def test_tangent_dim_matches_centralizer_oracle_on_seeded_tuples(seed, mode, n, count, structure):
+    rng = random.Random(900 + seed)
+    if structure == "generic":
+        mats = closed_matrices(rng, mode, n, count)
+    else:
+        k = n // 2 if structure == "doubled" else rng.randint(1, n - 1)
+        first = closed_matrices(rng, mode, k, count)
+        second = first if structure == "doubled" else closed_matrices(rng, mode, n - k, count)
+        g = random_invertible(rng, n)
+        ginv = xl.inverse(g)
+        mats = [g @ block_diagonal(a, b) @ ginv for a, b in zip(first, second)]
+    # the claimed eigenvalues are placeholders; tangent_dim does not read them
+    t = MatrixTuple(mode, mats, [[1] * n] * count)
+    assert tl.verify_closure(t)
+    if structure == "doubled":
+        assert tl.centralizer_dim(t) >= 4
+    assert tl.tangent_dim(t) == tangent_oracle(t)
+
+
+def test_tangent_dim_matches_centralizer_oracle_on_shipped_tuples():
+    paths = sorted(FIXTURES.glob("*.verify.json"))
+    assert len(paths) == 14
+    for path in paths:
+        t = MatrixTuple.from_json(json.loads(path.read_text(encoding="utf-8")))
+        assert tl.tangent_dim(t) == tangent_oracle(t), path.name
+
+
+@pytest.mark.parametrize("mode", ["multiplicative", "additive"])
+def test_corner_differential_is_the_corner_of_the_block_product(mode):
+    """The corner differential maps (Y_j) to the upper-right block of the
+    product (sum) of [[L_j, L_j Y_j - Y_j B_j], [0, B_j]], computed here
+    entrywise on the 2n x 2n block matrices."""
+    rng = random.Random(31 if mode == "additive" else 37)
+    for n, count in ((2, 2), (2, 4), (3, 3)):
+        ls = [random_matrix(rng, n) for _ in range(count)]
+        bs = [random_matrix(rng, n) for _ in range(count)]
+        ys = [random_matrix(rng, n).scale(F(1, rng.choice([1, 2, 3]))) for _ in range(count)]
+        blocks = []
+        for l, b, y in zip(ls, bs, ys):
+            corner = entrywise_product([l.row_lists(), y.row_lists()])
+            corner = [[p - q for p, q in zip(r1, r2)]
+                      for r1, r2 in zip(corner, entrywise_product([y.row_lists(), b.row_lists()]))]
+            top = [list(l.row(i)) + corner[i] for i in range(n)]
+            bottom = [[F(0)] * n + list(b.row(i)) for i in range(n)]
+            blocks.append(top + bottom)
+        if mode == "multiplicative":
+            whole = entrywise_product(blocks)
+        else:
+            whole = [[sum((m[i][j] for m in blocks), F(0)) for j in range(2 * n)] for i in range(2 * n)]
+        expected = [x for row in whole[:n] for x in row[n:]]
+        vec = RatMatrix.column([x for y in ys for x in y.entries])
+        assert list((tl.corner_differential(ls, bs, mode) @ vec).entries) == expected
