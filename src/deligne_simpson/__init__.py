@@ -28,7 +28,6 @@ from .jnf import (
     corresponding_diagonal,
     corresponding_single_eigenvalue,
     corresponds,
-    dual,
     min_rank,
 )
 from .reduction import (

@@ -14,17 +14,19 @@ vec(X) listing entries row by row (row-major).  All operator matrices here
 share this ordering.  The intertwiner map X -> AX - XB, and with it the
 commutator map, is written down entry by entry in O(n^4)
 (``intertwiner_rows``) rather than assembled from the dense left and right
-multiplication operators, which remain for the corner differential
-(``tuple_lab.corner_differential``).
+multiplication operators, which remain for the prefix and suffix products
+of the corner differential (``tuple_lab.corner_differential``).
 
 Serialization: rationals are strings "p/q" or "p" with the sign on the
-numerator; matrices are JSON arrays of arrays of such strings.
+numerator; matrices are JSON arrays of arrays of such strings.  ``rat``,
+``integer`` and ``json_list`` are the strict readers of JSON values.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -71,10 +73,29 @@ def rat(value: int | str | Fraction) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
+def integer(value: int) -> int:
+    """value when it is an int; a count read from JSON as 2.5, "2" or true
+    is an error, not 2 or 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def json_list(value, what: str) -> list:
+    """value when it is a JSON array; a string would otherwise be read
+    character by character, and an object key by key."""
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be a JSON list, not {type(value).__name__}")
+    return value
+
+
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class RatMatrix:
     """Immutable dense matrix with Fraction entries, stored row-major."""
 
-    __slots__ = ("rows", "cols", "entries")
+    rows: int
+    cols: int
+    entries: tuple[Fraction, ...]
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int | str | Fraction]):
         if rows < 1 or cols < 1:
@@ -85,9 +106,6 @@ class RatMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatMatrix is immutable")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int | str | Fraction]]) -> RatMatrix:
@@ -133,14 +151,6 @@ class RatMatrix:
     def row_lists(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
-
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
         return f"RatMatrix({self.rows}x{self.cols}: {body})"
@@ -163,9 +173,6 @@ class RatMatrix:
     def __matmul__(self, other: RatMatrix) -> RatMatrix:
         return matmul(self, other)
 
-    def transpose(self) -> RatMatrix:
-        return RatMatrix(self.cols, self.rows, [self[i, j] for j in range(self.cols) for i in range(self.rows)])
-
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise ShapeMismatchError("trace needs a square matrix")
@@ -186,7 +193,8 @@ class RatMatrix:
 
     @classmethod
     def from_json(cls, data: Sequence[Sequence[int | str]]) -> RatMatrix:
-        return cls.from_rows([[rat(x) for x in row] for row in data])
+        rows = json_list(data, "matrix")
+        return cls.from_rows([[rat(x) for x in json_list(row, "matrix row")] for row in rows])
 
 
 def matmul(a: RatMatrix, b: RatMatrix) -> RatMatrix:

@@ -5,7 +5,7 @@ labels, each carrying a partition of Jordan block sizes; the partitions
 together sum to n.  This module computes the classical invariants that
 depend only on that combinatorial data:
 
-* ``dual`` -- the conjugate partition,
+* ``Partition.dual`` -- the conjugate partition,
 * ``centralizer_dim_of_jnf`` -- dimension of the centralizer of any matrix
   realizing the JNF, inside the full matrix algebra,
 * ``class_dim`` -- dimension of the conjugacy class (n^2 minus the
@@ -20,32 +20,25 @@ same diagonal companion.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-
-def _integer(value) -> int:
-    """value when it is an int; a block size or multiplicity read from JSON as
-    2.5, "2" or true is an error, not 2 or 1."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
+from .exact_linalg import integer, json_list
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Partition:
     """A non-increasing tuple of positive integers; constructors sort."""
 
-    __slots__ = ("parts",)
+    parts: tuple[int, ...]
 
     def __init__(self, parts: Iterable[int]):
-        data = tuple(sorted((_integer(p) for p in parts), reverse=True))
+        data = tuple(sorted((integer(p) for p in parts), reverse=True))
         if not data:
             raise ValueError("partition must be non-empty")
         if data[-1] < 1:
             raise ValueError("partition parts must be positive")
         object.__setattr__(self, "parts", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
 
     def total(self) -> int:
         return sum(self.parts)
@@ -56,14 +49,6 @@ class Partition:
     def __iter__(self):
         return iter(self.parts)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
     def __repr__(self) -> str:
         return f"Partition{self.parts}"
 
@@ -73,14 +58,13 @@ class Partition:
         return Partition(sum(1 for p in self.parts if p >= k) for k in range(1, width + 1))
 
 
-def dual(p: Partition) -> Partition:
-    return p.dual()
-
-
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Jnf:
-    """A Jordan normal form: distinct eigenvalue labels with block partitions."""
+    """A Jordan normal form: distinct eigenvalue labels with block partitions.
+    Equality ignores the order of the eigenvalues."""
 
-    __slots__ = ("blocks_by_eigenvalue", "size")
+    blocks_by_eigenvalue: tuple[tuple[str, Partition], ...]
+    size: int
 
     def __init__(self, blocks_by_eigenvalue: Iterable[tuple[str, Partition | Sequence[int]]]):
         entries = []
@@ -95,13 +79,10 @@ class Jnf:
         object.__setattr__(self, "blocks_by_eigenvalue", tuple(entries))
         object.__setattr__(self, "size", sum(p.total() for _, p in entries))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Jnf is immutable")
-
     @classmethod
     def diagonal(cls, multiplicities: Sequence[int], labels: Sequence[str] | None = None) -> Jnf:
         """Diagonal JNF from eigenvalue multiplicities; labels default to e1, e2, ..."""
-        mults = sorted((_integer(m) for m in multiplicities), reverse=True)
+        mults = sorted((integer(m) for m in multiplicities), reverse=True)
         if labels is None:
             labels = [f"e{i + 1}" for i in range(len(mults))]
         return cls((lab, Partition([1] * m)) for lab, m in zip(labels, mults))
@@ -112,12 +93,6 @@ class Jnf:
 
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.blocks_by_eigenvalue)
-
-    def partition_of(self, label: str) -> Partition:
-        for lab, part in self.blocks_by_eigenvalue:
-            if lab == label:
-                return part
-        raise KeyError(label)
 
     def is_diagonal(self) -> bool:
         return all(all(p == 1 for p in part) for _, part in self.blocks_by_eigenvalue)
@@ -154,8 +129,11 @@ class Jnf:
         if isinstance(data, Mapping):
             if "multiplicities" not in data:
                 raise ValueError("abbreviated JNF needs a 'multiplicities' key")
-            return cls.diagonal(list(data["multiplicities"]))
-        return cls((item["eigenvalue"], Partition(item["blocks"])) for item in data)
+            return cls.diagonal(json_list(data["multiplicities"], "multiplicities"))
+        entries = [(item["eigenvalue"], Partition(item["blocks"])) for item in data]
+        if not all(isinstance(label, str) for label, _ in entries):
+            raise TypeError("eigenvalue labels must be strings")  # not read as "None" or "[1]"
+        return cls(entries)
 
 
 def centralizer_dim_of_jnf(j: Jnf) -> int:

@@ -24,9 +24,10 @@ failure is a hard "not solvable" answer.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .jnf import Jnf, Partition, class_dim, min_rank
 
@@ -43,10 +44,12 @@ class InvalidChoiceError(ReductionError):
     pass
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class JnfTuple:
     """A (p+1)-tuple of JNFs of one common size."""
 
-    __slots__ = ("jnfs", "n")
+    jnfs: tuple[Jnf, ...]
+    n: int
 
     def __init__(self, jnfs: Iterable[Jnf]):
         items = tuple(jnfs)
@@ -58,22 +61,11 @@ class JnfTuple:
         object.__setattr__(self, "jnfs", items)
         object.__setattr__(self, "n", n)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("JnfTuple is immutable")
-
     def __len__(self) -> int:
         return len(self.jnfs)
 
     def __iter__(self):
         return iter(self.jnfs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, JnfTuple):
-            return NotImplemented
-        return self.jnfs == other.jnfs
-
-    def __hash__(self) -> int:
-        return hash(self.jnfs)
 
     def __repr__(self) -> str:
         return f"JnfTuple(n={self.n}, {list(self.jnfs)!r})"
@@ -250,44 +242,42 @@ def _terminal_verdict(t: JnfTuple) -> Verdict | None:
     return None
 
 
-def solvable_generic(
-    t: JnfTuple, choose: Mapping[int, Sequence[str]] | None = None
-) -> ReductionTrace:
-    """Iterate the shrinking step until a terminal condition and report the
-    verdict, recording every intermediate tuple.  ``choose`` optionally maps
-    a step index to explicit eigenvalue choices for that step."""
-    steps: list[TraceStep] = []
+def _traces(t: JnfTuple) -> Iterator[ReductionTrace]:
+    """Every trace, depth first over the admissible choice combinations of
+    each stage in sorted order, so the first is the all-first-choice trace.
+    Lazy: a stage is reduced only when the walk reaches it.  An explicit
+    stack rather than recursion, so a long chain cannot overflow."""
+    steps: list[TraceStep] = []  # the stages above ``current``, with their choices
+    pending: list[Iterator[tuple[str, ...]]] = []  # per stage in steps, the untried combinations
     current = t
-    index = 0
     while True:
         verdict = _terminal_verdict(current)
-        if verdict is not None:
-            steps.append(TraceStep(current, None, None))
-            return ReductionTrace(tuple(steps), verdict)
-        choices = None if choose is None else choose.get(index)
-        if choices is None:
-            choices = tuple(labels[0] for labels in admissible_choices(current))
-        nxt = reduce_step(current, choices)
-        steps.append(TraceStep(current, tuple(choices), nxt.n))
+        if verdict is None:
+            pending.append(itertools.product(*admissible_choices(current)))
+            combo = next(pending[-1])
+        else:
+            yield ReductionTrace(tuple(steps) + (TraceStep(current, None, None),), verdict)
+            while pending:  # back up to the deepest stage with a choice left
+                current = steps.pop().tuple
+                combo = next(pending[-1], None)
+                if combo is not None:
+                    break
+                pending.pop()
+            else:
+                return
+        nxt = reduce_step(current, combo)
+        steps.append(TraceStep(current, combo, nxt.n))
         current = nxt
-        index += 1
+
+
+def solvable_generic(t: JnfTuple) -> ReductionTrace:
+    """Iterate the shrinking step, with the first admissible eigenvalue in
+    each class, until a terminal condition; report the verdict with every
+    intermediate tuple."""
+    return next(_traces(t))
 
 
 def explore_all_traces(t: JnfTuple) -> list[ReductionTrace]:
     """Every trace over all admissible eigenvalue choices at every step,
     for checking that the verdict does not depend on the choices."""
-    import itertools
-
-    results: list[ReductionTrace] = []
-
-    def walk(current: JnfTuple, prefix: list[TraceStep]) -> None:
-        verdict = _terminal_verdict(current)
-        if verdict is not None:
-            results.append(ReductionTrace(tuple(prefix) + (TraceStep(current, None, None),), verdict))
-            return
-        for combo in itertools.product(*admissible_choices(current)):
-            nxt = reduce_step(current, combo)
-            walk(nxt, prefix + [TraceStep(current, combo, nxt.n)])
-
-    walk(t, [])
-    return results
+    return list(_traces(t))

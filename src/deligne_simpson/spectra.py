@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exact_linalg import rat, rational_to_str
+from .exact_linalg import integer, json_list, rat, rational_to_str
 
 MULTIPLICATIVE = "multiplicative"
 ADDITIVE = "additive"
@@ -61,8 +61,9 @@ class InternalConsistencyError(SpectraError):
 
 
 def _as_terms(mapping: Mapping[str, int | str | Fraction] | None) -> tuple[tuple[str, Fraction], ...]:
-    if not mapping:
+    if mapping is None:
         return ()
+    _require_object(mapping, "exponents or coefficients")
     items = []
     for sym, coeff in mapping.items():
         c = rat(coeff)
@@ -129,7 +130,9 @@ class FormalScalar:
         _require_object(data, "scalar")
         if mode == MULTIPLICATIVE:
             return cls.multiplicative(data.get("exponents"), rat(data.get("phase", 0)))
-        return cls.additive(data.get("coefficients"), rat(data.get("constant", 0)))
+        if mode == ADDITIVE:
+            return cls.additive(data.get("coefficients"), rat(data.get("constant", 0)))
+        raise ValueError(f"unknown mode {mode!r}")
 
 
 def combine(
@@ -154,16 +157,18 @@ def combine(
     return FormalScalar(mode, _as_terms(totals), offset)
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
 class SpectrumAssignment:
     """Per conjugacy class, the distinct eigenvalues with multiplicities."""
 
-    __slots__ = ("classes", "n")
+    classes: tuple[tuple[tuple[FormalScalar, int], ...], ...]
+    n: int
 
     def __init__(self, classes: Sequence[Sequence[tuple[FormalScalar, int]]], n: int | None = None):
         norm = []
         mode = None
         for cls_ in classes:
-            entries = tuple((scalar, int(mult)) for scalar, mult in cls_)
+            entries = tuple((scalar, integer(mult)) for scalar, mult in cls_)
             if not entries:
                 raise ValueError("empty eigenvalue class")
             for scalar, mult in entries:
@@ -179,15 +184,11 @@ class SpectrumAssignment:
         if not norm:
             raise ValueError("need at least one class")
         sums = [sum(m for _, m in cls_) for cls_ in norm]
-        if n is None:
-            n = sums[0]
+        n = sums[0] if n is None else integer(n)
         if any(s != n for s in sums):
             raise ValueError(f"class multiplicities must each sum to n={n}, got {sums}")
         object.__setattr__(self, "classes", tuple(norm))
-        object.__setattr__(self, "n", int(n))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SpectrumAssignment is immutable")
+        object.__setattr__(self, "n", n)
 
     @property
     def mode(self) -> str:
@@ -214,7 +215,7 @@ class SpectrumAssignment:
     def from_json(cls, data: Mapping) -> SpectrumAssignment:
         _require_object(data, "spectrum")
         mode = data.get("mode", MULTIPLICATIVE)
-        declared = set(data.get("symbols", []))
+        declared = set(json_list(data.get("symbols", []), "symbols"))
         classes = []
         for cls_data in data["classes"]:
             entries = []
@@ -222,7 +223,7 @@ class SpectrumAssignment:
                 scalar = FormalScalar.from_json(item["scalar"], mode)
                 if declared and not set(scalar.symbols()) <= declared:
                     raise ValueError(f"undeclared symbols in {scalar!r}")
-                entries.append((scalar, int(item["mult"])))
+                entries.append((scalar, item["mult"]))
             classes.append(entries)
         return cls(classes, data.get("n"))
 

@@ -32,11 +32,12 @@ minus 1 when the determinant constraint is transverse.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import exact_linalg as xl
-from .exact_linalg import RatMatrix, rat, rational_from_str, rational_to_str
+from .exact_linalg import RatMatrix, json_list, rat, rational_from_str, rational_to_str
 from .jnf import Jnf, Partition
 from .reduction import JnfTuple, expected_dim, kappa  # noqa: F401  (re-exported)
 from .spectra import ADDITIVE, MULTIPLICATIVE
@@ -54,10 +55,13 @@ class ClosureViolatedError(TupleLabError):
     pass
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class MatrixTuple:
     """Square rational matrices of one size, with claimed eigenvalue lists."""
 
-    __slots__ = ("mode", "matrices", "eigenvalue_lists")
+    mode: str
+    matrices: tuple[RatMatrix, ...]
+    eigenvalue_lists: tuple[tuple[Fraction, ...], ...]
 
     def __init__(
         self,
@@ -86,24 +90,12 @@ class MatrixTuple:
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "eigenvalue_lists", eigs)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MatrixTuple is immutable")
-
     @property
     def n(self) -> int:
         return self.matrices[0].rows
 
     def __len__(self) -> int:
         return len(self.matrices)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MatrixTuple):
-            return NotImplemented
-        return (self.mode, self.matrices, self.eigenvalue_lists) == (
-            other.mode,
-            other.matrices,
-            other.eigenvalue_lists,
-        )
 
     def __repr__(self) -> str:
         return f"MatrixTuple({self.mode}, {len(self.matrices)} matrices of size {self.n})"
@@ -119,8 +111,8 @@ class MatrixTuple:
     def from_json(cls, data: Mapping) -> MatrixTuple:
         return cls(
             data["mode"],
-            [RatMatrix.from_json(m) for m in data["matrices"]],
-            data["eigenvalues"],
+            [RatMatrix.from_json(m) for m in json_list(data["matrices"], "matrices")],
+            [json_list(lst, "eigenvalue list") for lst in json_list(data["eigenvalues"], "eigenvalues")],
         )
 
 
@@ -277,10 +269,14 @@ def corner_differential(ls: Sequence[RatMatrix], bs: Sequence[RatMatrix], mode: 
     upper-triangular matrices [[L_j, T_j], [0, B_j]] (resp. of their sum)
     changes when T_j = L_j Y_j - Y_j B_j.  With L = B = M it is the
     differential of the product (resp. sum) along the conjugacy classes,
-    up to a sign that changes no rank.  One column block per j, each built
-    from dense left and right multiplication operators.
+    up to a sign that changes no rank.  One column block per j: the map
+    Y -> L_j Y - Y B_j written down entry by entry (``intertwiner_rows``),
+    then in multiplicative mode multiplied by the dense left and right
+    multiplication operators of the prefix and suffix products.
     """
-    blocks = (xl.left_mul_matrix(l) - xl.right_mul_matrix(b) for l, b in zip(ls, bs))
+    blocks = (
+        RatMatrix.from_rows(xl.intertwiner_rows(l.row_lists(), b.row_lists())) for l, b in zip(ls, bs)
+    )
     if mode == MULTIPLICATIVE:
         identity = RatMatrix.identity(ls[0].rows)
         # prefixes[j] = L_1...L_{j-1} and suffixes[j] = B_{j+1}...B_k, as running products

@@ -67,20 +67,18 @@ class Fixture:
             if not verify_closure(t):
                 raise ValueError(f"fixture {self.name}: tuple {name} does not close")
 
-    def jnf_tuple_named(self, target: str) -> JnfTuple:
-        if target in ("", "main"):
+    def target(self, name: str) -> JnfTuple | SpectrumAssignment | MatrixTuple:
+        """The object an expectation's target names: "main" or "aux:X" (a
+        JNF tuple), "spectrum" or "spectrum:X", or "tuple:X"."""
+        if name in ("", "main"):
             return self.jnf_tuple
-        return self.aux_jnf_tuples[target.removeprefix("aux:")]
-
-    def spectrum_named(self, target: str) -> SpectrumAssignment:
-        if target in ("spectrum", ""):
+        if name == "spectrum":
             if self.spectrum is None:
                 raise KeyError(f"fixture {self.name} has no primary spectrum")
             return self.spectrum
-        return self.aux_spectra[target.removeprefix("spectrum:")]
-
-    def tuple_named(self, target: str) -> MatrixTuple:
-        return self.matrix_tuples[target.removeprefix("tuple:")]
+        kind, _, key = name.partition(":")
+        named = {"aux": self.aux_jnf_tuples, "spectrum": self.aux_spectra, "tuple": self.matrix_tuples}
+        return named[kind][key]
 
 
 def make_witness(size: int, parts: Sequence[Sequence[tuple[FormalScalar, int]]]) -> RelationWitness:

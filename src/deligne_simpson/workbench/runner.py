@@ -35,12 +35,12 @@ def _nilpotent_rank1_corner(t) -> bool:
     return corner.trace() == 0 and rank(corner) == 1 and (corner @ corner).is_zero()
 
 
-# Per target kind: how a fixture resolves the target, and for each operation
-# a callable of (fixture, expectation, target object).  Entries reach library
-# functions through their modules (tl.tangent_dim, not a stored function
-# object), so a wrapper installed on a module attribute sees every call.
+# Per type of target object, for each operation a callable of (fixture,
+# expectation, target object).  Entries reach library functions through
+# their modules (tl.tangent_dim, not a stored function object), so a wrapper
+# installed on a module attribute sees every call.
 _OPERATIONS = {
-    "jnf_tuple": (Fixture.jnf_tuple_named, {
+    rd.JnfTuple: {
         "kappa": lambda f, e, t: rd.kappa(t),
         "expected_dim": lambda f, e, t: rd.expected_dim(t),
         "alpha": lambda f, e, t: rd.check_alpha(t),
@@ -56,8 +56,8 @@ _OPERATIONS = {
         "classes_correspond": lambda f, e, t: corresponds(
             t.jnfs[e.params["index"]], f.aux_jnf_tuples[e.params["other"]].jnfs[e.params["index"]]
         ),
-    }),
-    "spectrum": (Fixture.spectrum_named, {
+    },
+    sp.SpectrumAssignment: {
         "classify": lambda f, e, s: sp.classify(s).verdict,
         "is_generic": lambda f, e, s: sp.is_generic(s).verdict,
         "global_condition": lambda f, e, s: sp.global_condition(s),
@@ -69,8 +69,8 @@ _OPERATIONS = {
         "contains_witness":
             lambda f, e, s: e.params["witness"] in [w.to_json() for w in sp.all_relations(s)],
         "witness_count": lambda f, e, s: len(sp.all_relations(s)),
-    }),
-    "tuple": (Fixture.tuple_named, {
+    },
+    tl.MatrixTuple: {
         "closure": lambda f, e, t: tl.verify_closure(t),
         "centralizer_dim": lambda f, e, t: tl.centralizer_dim(t),
         "trivial_centralizer": lambda f, e, t: tl.has_trivial_centralizer(t),
@@ -86,7 +86,7 @@ _OPERATIONS = {
         ),
         "hom_dim": lambda f, e, t: builders.hom_dim(t.matrices, f.matrix_tuples[e.params["other"]].matrices),
         "nilpotent_rank1_corner": lambda f, e, t: _nilpotent_rank1_corner(t),
-    }),
+    },
 }
 
 
@@ -98,14 +98,8 @@ def evaluate_expectation(fixture: Fixture, exp: Expectation):
         spaces = builders.triangular_spaces(first, second)
         key = "dim_full" if exp.params["which"] == "full" else "dim_conjugation"
         return spaces[key]
-    if exp.target.startswith("tuple:"):
-        kind = "tuple"
-    elif exp.target.startswith("spectrum"):
-        kind = "spectrum"
-    else:
-        kind = "jnf_tuple"
-    resolve, operations = _OPERATIONS[kind]
-    return operations[exp.operation](fixture, exp, resolve(fixture, exp.target))
+    target = fixture.target(exp.target)
+    return _OPERATIONS[type(target)][exp.operation](fixture, exp, target)
 
 
 @dataclass(frozen=True)

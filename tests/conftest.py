@@ -1,14 +1,21 @@
-"""Shared random generators for seeded property loops."""
+"""Shared random generators for seeded property loops, and the
+hypothesis profile for CI."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
+from hypothesis import settings
+
 from deligne_simpson.exact_linalg import RatMatrix
 from deligne_simpson.jnf import Jnf, Partition
 from deligne_simpson.reduction import JnfTuple
 from deligne_simpson.tuple_lab import MatrixTuple
+
+# ``--hypothesis-profile=ci`` draws the same examples on every run, so a
+# property test cannot pass on one run and fail on the next.
+settings.register_profile("ci", derandomize=True)
 
 
 def random_partition(rng: random.Random, total: int) -> Partition:

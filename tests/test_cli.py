@@ -1,12 +1,17 @@
+import copy
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deligne_simpson import reduction as rd
 from deligne_simpson import spectra as sp
 from deligne_simpson import tuple_lab as tl
 from deligne_simpson.cli import main
+from deligne_simpson.workbench import fixture_by_name
 from deligne_simpson.workbench.export import dumps
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -16,6 +21,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def shipped(name: str):
+    return json.loads((FIXTURES / name).read_text(encoding="utf-8"))
+
+
+def replaced(data, path: tuple, value):
+    """A copy of JSON data with the node at path (keys and indices from the
+    root) replaced by value."""
+    if not path:
+        return value
+    data = copy.deepcopy(data)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
 
 
 def test_dual(capsys):
@@ -121,6 +143,105 @@ def test_analyze_rejects_counts_that_are_not_integers(tmp_path, capsys):
     payload["jnfs"][3][0]["blocks"] = [2, 1.0, 1]
     path.write_text(json.dumps(payload), encoding="utf-8")
     assert run(capsys, "analyze", "-i", str(path))[0] == 2
+
+
+FIRST_SCALAR = ("spectrum", "classes", 0, 0)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (FIRST_SCALAR + ("mult",), 2.5),
+        (FIRST_SCALAR + ("mult",), "2"),
+        (("spectrum", "symbols"), "e23"),
+        (FIRST_SCALAR + ("scalar", "exponents"), [1]),
+    ],
+    ids=["mult-float", "mult-string", "symbols-string", "exponents-list"],
+)
+def test_analyze_malformed_spectrum_is_input_error(tmp_path, capsys, path, value):
+    file = tmp_path / "spectrum.json"
+    file.write_text(json.dumps(replaced(shipped("example1.analyze.json"), path, value)), encoding="utf-8")
+    code, _, err = run(capsys, "analyze", "-i", str(file))
+    assert code == 2 and "bad spectrum" in err
+
+
+def test_analyze_unknown_spectrum_mode_is_input_error(tmp_path, capsys):
+    payload = shipped("example1.analyze.json")
+    payload["spectrum"] = fixture_by_name("example1").aux_spectra["additive"].to_json()
+    file = tmp_path / "mode.json"
+    file.write_text(json.dumps(payload), encoding="utf-8")
+    assert run(capsys, "analyze", "-i", str(file))[0] == 0
+    payload["spectrum"]["mode"] = "bogus"  # an additive spectrum under an unknown mode
+    file.write_text(json.dumps(payload), encoding="utf-8")
+    code, _, err = run(capsys, "analyze", "-i", str(file))
+    assert code == 2 and "bad spectrum" in err
+
+
+# ["2", "1", "1"] and ["2", "0", "0"] written as strings, which used to be
+# read character by character
+@pytest.mark.parametrize(
+    "path, text", [(("eigenvalues", 0), "211"), (("matrices", 0, 0), "200")], ids=["eigenvalue-list", "matrix-row"]
+)
+def test_verify_list_written_as_a_string_is_input_error(tmp_path, capsys, path, text):
+    file = tmp_path / "list.json"
+    file.write_text(json.dumps(replaced(shipped("example4_first_quadruple.verify.json"), path, text)), encoding="utf-8")
+    code, _, err = run(capsys, "verify", "-i", str(file))
+    assert code == 2 and "bad matrix tuple" in err
+
+
+def json_nodes(data, path: tuple = ()):
+    """The path of every node of JSON data, the root included."""
+    yield path
+    items = data.items() if isinstance(data, dict) else enumerate(data) if isinstance(data, list) else ()
+    for key, child in items:
+        yield from json_nodes(child, path + (key,))
+
+
+# Small counts only: a multiplicity is expanded into that many blocks.
+small_ints = st.integers(-2, 6)
+json_values = st.one_of(
+    small_ints,
+    st.floats(-4, 4),
+    st.text(max_size=4),
+    st.booleans(),
+    st.none(),
+    st.lists(small_ints, max_size=3),
+    st.dictionaries(st.text(max_size=2), small_ints, max_size=2),
+)
+
+
+def fuzz_cases(pattern: str):
+    return [(path.name, node) for path in sorted(FIXTURES.glob(pattern)) for node in json_nodes(shipped(path.name))]
+
+
+def exit_code_with_one_node_replaced(tmp_path_factory, command, case, value, *flags) -> int:
+    name, path = case
+    file = tmp_path_factory.getbasetemp() / f"fuzz-{command}.json"
+    file.write_text(json.dumps(replaced(shipped(name), path, value)), encoding="utf-8")
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return main([command, "-i", str(file), "--json", *flags])
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from(fuzz_cases("*.analyze.json")), value=json_values)
+def test_analyze_exits_0_or_2_with_any_one_node_replaced(tmp_path_factory, case, value):
+    code = exit_code_with_one_node_replaced(tmp_path_factory, "analyze", case, value, "--trace", "--explore-choices")
+    assert code in (0, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(fuzz_cases("*.verify.json")), value=json_values)
+def test_verify_exits_0_or_2_with_any_one_node_replaced(tmp_path_factory, case, value):
+    assert exit_code_with_one_node_replaced(tmp_path_factory, "verify", case, value) in (0, 2)
+
+
+@pytest.mark.parametrize("label", [None, 1, ["e1"]], ids=["null", "int", "list"])
+def test_analyze_eigenvalue_label_that_is_not_a_string_is_input_error(tmp_path, capsys, label):
+    payload = replaced(shipped("example1.analyze.json"), ("jnfs", 3, 0, "eigenvalue"), label)
+    file = tmp_path / "label.json"
+    file.write_text(json.dumps(payload), encoding="utf-8")
+    code, _, err = run(capsys, "analyze", "-i", str(file))
+    assert code == 2 and "bad JNF tuple" in err
 
 
 def test_analyze_skips_oversized_spectra(tmp_path, capsys):

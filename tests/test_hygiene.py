@@ -2,8 +2,9 @@
 
 The package is standard-library only and exact: every absolute import names
 the package itself or a standard-library module, and no float literal or
-``float(`` call appears anywhere in ``src/``.  Every function the benchmark's
-tracer wraps still exists under the name it uses.
+``float(`` call appears anywhere in ``src/``.  Value types are frozen
+dataclasses, so no class hand-writes ``__setattr__``.  Every function the
+benchmark's tracer wraps still exists under the name it uses.
 """
 
 import ast
@@ -47,6 +48,17 @@ def test_no_float_literals_or_float_calls():
                 offenders.append(f"{path}:{node.lineno} literal {node.value!r}")
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
                 offenders.append(f"{path}:{node.lineno} float(...)")
+    assert not offenders
+
+
+def test_no_class_defines_setattr():
+    offenders = [
+        f"{path}:{node.lineno} {node.name}"
+        for path, tree in source_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(item, ast.FunctionDef) and item.name == "__setattr__" for item in node.body)
+    ]
     assert not offenders
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -150,6 +151,33 @@ def test_random_choice_independence():
         traces = rd.explore_all_traces(t)
         assert len({trc.verdict.solvable for trc in traces}) == 1
         checked += 1
+
+
+def choice_paths(t: JnfTuple) -> list[tuple]:
+    """The eigenvalue choices of every trace, by plain recursion over each
+    stage's admissible combinations in sorted order."""
+    if t.n == 1 or not rd.check_beta(t) or rd.check_omega(t):
+        return [()]
+    return [
+        (combo,) + rest
+        for combo in itertools.product(*rd.admissible_choices(t))
+        for rest in choice_paths(rd.reduce_step(t, combo))
+    ]
+
+
+def test_explored_traces_follow_the_choice_tree_and_start_with_solvable_generic():
+    rng = random.Random(2024)
+    tuples = [j_star(), j_star_diag(), zero_index_22()]
+    tuples += [random_jnf_tuple(rng, rng.randint(2, 7), rng.randint(2, 5)) for _ in range(200)]
+    for t in tuples:
+        traces = rd.explore_all_traces(t)
+        assert [tuple(step.chosen for step in trc.steps[:-1]) for trc in traces] == choice_paths(t)
+        for trc in traces:
+            assert trc.steps[0].tuple == t and trc.steps[-1].chosen is None
+            for step, nxt in zip(trc.steps, trc.steps[1:]):
+                assert nxt.tuple == rd.reduce_step(step.tuple, step.chosen)
+                assert step.n_next == nxt.tuple.n
+        assert rd.solvable_generic(t) == traces[0]
 
 
 def test_trace_json_shape():

@@ -149,6 +149,17 @@ def test_fixture_lookup_and_validation():
     for fixture in wb.builtin_corpus():
         for t in fixture.matrix_tuples.values():
             assert tl.verify_closure(t)
+    fx = wb.fixture_by_name("example1")
+    assert fx.target("main") is fx.jnf_tuple
+    assert fx.target("aux:corresponding") is fx.aux_jnf_tuples["corresponding"]
+    assert fx.target("spectrum") is fx.spectrum
+    assert fx.target("spectrum:additive") is fx.aux_spectra["additive"]
+    assert fx.target("tuple:rigid_quadruple") is fx.matrix_tuples["rigid_quadruple"]
+    for unknown in ("aux:nope", "tuple:nope", "matrix:rigid_quadruple"):
+        with pytest.raises(KeyError):
+            fx.target(unknown)
+    with pytest.raises(KeyError):
+        wb.fixture_by_name("example3").target("spectrum:component")
 
 
 def test_build_triple_rejects_bad_classes():
