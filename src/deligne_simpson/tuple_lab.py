@@ -275,7 +275,8 @@ def corner_differential(ls: Sequence[RatMatrix], bs: Sequence[RatMatrix], mode: 
     multiplication operators of the prefix and suffix products.
     """
     blocks = (
-        RatMatrix.from_rows(xl.intertwiner_rows(l.row_lists(), b.row_lists())) for l, b in zip(ls, bs)
+        RatMatrix.from_rows(xl.intertwiner_rows(l.row_lists(), b.row_lists()))
+        for l, b in zip(ls, bs, strict=True)
     )
     if mode == MULTIPLICATIVE:
         identity = RatMatrix.identity(ls[0].rows)
@@ -284,7 +285,7 @@ def corner_differential(ls: Sequence[RatMatrix], bs: Sequence[RatMatrix], mode: 
         suffixes = [*itertools.accumulate(reversed(bs[1:]), lambda acc, b: b @ acc)][::-1] + [identity]
         blocks = (
             xl.left_mul_matrix(prefix) @ (xl.right_mul_matrix(suffix) @ block)
-            for prefix, suffix, block in zip(prefixes, suffixes, blocks)
+            for prefix, suffix, block in zip(prefixes, suffixes, blocks, strict=True)
         )
     return xl.hstack(list(blocks))
 
@@ -342,7 +343,10 @@ def report(t: MatrixTuple) -> dict:
     cdim = centralizer_dim(t)
     out["centralizer_dim"] = cdim
     out["trivial_centralizer"] = cdim == 1
-    out["commutator_map_surjective"] = commut_surjective(t)
+    # By trace duality the image of sum_j [M_j, X_j] is the orthogonal
+    # complement of the centralizer, so it is onto the trace-zero matrices
+    # exactly when the centralizer is the scalars.
+    out["commutator_map_surjective"] = cdim == 1
     out["irreducible"] = is_irreducible(t)
     out["orbit_dim"] = t.n**2 - cdim
     out["tangent_dim"] = tangent

@@ -4,9 +4,7 @@ from .builders import (
     ConstructionFailedError,
     SolveFailedError,
     WorkbenchError,
-    build_block_diagonal_triple,
-    build_direct_sum_point,
-    build_doubled_point,
+    block_triangular,
     build_first_block_triple,
     build_jordan_quadruple,
     build_rigid_quadruple,

@@ -9,6 +9,11 @@ linear condition on the entries of V, so a solution with v21 = 1 can be
 written down directly.  Determinants match automatically, so Y = V @ W
 lands in its class whenever its two prescribed eigenvalues are distinct.
 
+Every 4x4 point is an extension of two 2x2 tuples: ``block_triangular`` is
+the one constructor of the matrices [[L_j, T_j], [0, B_j]], block diagonal
+for the direct-sum, doubled and block-diagonal points, with corner blocks
+for the semidirect point and the triangular triple.
+
 Irreducibility of the assembled tuples is not an accident: their
 eigenvalues are chosen generic (validated through the spectra module), and
 a tuple with an invariant line would force a product-one relation among
@@ -199,37 +204,34 @@ def build_jordan_quadruple() -> MatrixTuple:
     return t
 
 
-def _block2(a: RatMatrix, b: RatMatrix, c: RatMatrix, d: RatMatrix) -> RatMatrix:
-    """Assemble [[a, b], [c, d]] from 2x2 blocks into a 4x4 matrix."""
-    rows = []
-    for i in range(2):
-        rows.append(list(a.row(i)) + list(b.row(i)))
-    for i in range(2):
-        rows.append(list(c.row(i)) + list(d.row(i)))
-    return RatMatrix.from_rows(rows)
-
-
-def _doubled_eigenvalues(pairs: Sequence[Pair]) -> list[list[Fraction]]:
-    return [[a, a, b, b] for a, b in pairs]
-
-
-def build_direct_sum_point(rigid: MatrixTuple, jordan: MatrixTuple) -> MatrixTuple:
-    """Block-diagonal 4x4 quadruple diag(N_j, P_j): a direct sum of the two
-    non-equivalent 2x2 representations sharing classes 1..3."""
-    mats = [_block2(n, RatMatrix.zero(2, 2), RatMatrix.zero(2, 2), p)
-            for n, p in zip(rigid.matrices, jordan.matrices)]
-    t = MatrixTuple(MULTIPLICATIVE, mats, _doubled_eigenvalues(RIGID_CLASSES))
-    _check(verify_closure(t), "direct sum point does not close")
+def block_triangular(
+    first: MatrixTuple, second: MatrixTuple, corners: Sequence[RatMatrix] | None = None
+) -> MatrixTuple:
+    """The tuple of block upper-triangular matrices [[L_j, T_j], [0, B_j]]
+    with L_j from ``first``, B_j from ``second`` and T_j from ``corners``;
+    block diagonal (a direct sum) when ``corners`` is None.  Each class
+    lists equal eigenvalues together, in order of first appearance, so the
+    classes (a, b) and (a, c) give (a, a, b, c).  Raises
+    ConstructionFailedError when the tuple does not close."""
+    if corners is None:
+        corners = [RatMatrix.zero(first.n, second.n)] * len(first)
+    zeros = (Fraction(0),) * first.n
+    mats = [
+        RatMatrix.from_rows(
+            [l.row(i) + t.row(i) for i in range(l.rows)] + [zeros + b.row(i) for i in range(b.rows)]
+        )
+        for l, t, b in zip(first.matrices, corners, second.matrices, strict=True)
+    ]
+    both = [x + y for x, y in zip(first.eigenvalue_lists, second.eigenvalue_lists, strict=True)]
+    t = MatrixTuple(first.mode, mats, [sorted(xy, key=xy.index) for xy in both])
+    _check(verify_closure(t), "block-triangular tuple does not close")
     return t
 
 
-def build_doubled_point(rigid: MatrixTuple) -> MatrixTuple:
-    """Block-diagonal 4x4 quadruple diag(N_j, N_j): direct sum of two copies
-    of the rigid representation; the fourth matrix is scalar."""
-    mats = [_block2(n, RatMatrix.zero(2, 2), RatMatrix.zero(2, 2), n) for n in rigid.matrices]
-    t = MatrixTuple(MULTIPLICATIVE, mats, _doubled_eigenvalues(RIGID_CLASSES))
-    _check(verify_closure(t), "doubled point does not close")
-    return t
+def _blocks(column: RatMatrix, n: int) -> list[RatMatrix]:
+    """The n x n blocks of a column of k * n^2 entries, in order."""
+    size = n * n
+    return [RatMatrix(n, n, column.entries[k : k + size]) for k in range(0, column.rows, size)]
 
 
 DEFAULT_NILPOTENT = RatMatrix.from_rows([[0, 1], [0, 0]])
@@ -247,8 +249,7 @@ def build_semidirect_point(rigid: MatrixTuple, r4: RatMatrix | None = None) -> M
         r4 = DEFAULT_NILPOTENT
     _check(r4.trace() == 0 and xl.rank(r4) == 1, "r4 must be nilpotent of rank 1")
     ns = list(rigid.matrices[:3])
-    n4 = rigid.matrices[3]
-    _check(n4 == RatMatrix.identity(2).scale(-1), "rigid quadruple must end with -I")
+    _check(rigid.matrices[3] == RatMatrix.identity(2).scale(-1), "rigid quadruple must end with -I")
     # The upper-right block of the product is
     # sum_j N_1...N_{j-1} [N_j, Z_j] N_{j+1}...N_3 N_4 + N_1 N_2 N_3 R_4; as
     # N_4 = N_1 N_2 N_3 = -I, it vanishes when the corner differential of
@@ -259,13 +260,10 @@ def build_semidirect_point(rigid: MatrixTuple, r4: RatMatrix | None = None) -> M
         solution = xl.solve(system, rhs)
     except xl.NoSolutionError as exc:  # impossible for an irreducible triple
         raise SolveFailedError("upper-right block equation is inconsistent") from exc
-    zs = [RatMatrix(2, 2, solution.col(0)[4 * j : 4 * j + 4]) for j in range(3)]
-    rs = [xl.commutator(n, z) for n, z in zip(ns, zs)] + [r4]
-    mats = [_block2(n, r, RatMatrix.zero(2, 2), n) for n, r in zip(ns + [n4], rs)]
-    t = MatrixTuple(MULTIPLICATIVE, mats, _doubled_eigenvalues(RIGID_CLASSES))
-    _check(verify_closure(t), "semidirect point does not close")
+    rs = [xl.commutator(n, z) for n, z in zip(ns, _blocks(solution, 2), strict=True)] + [r4]
+    t = block_triangular(rigid, rigid, rs)
     _check(
-        jnf_of(mats[3], [-1, -1, -1, -1]) == Jnf([("-1", [2, 1, 1])]),
+        jnf_of(t.matrices[3], [-1, -1, -1, -1]) == Jnf([("-1", [2, 1, 1])]),
         "fourth matrix has the wrong Jordan structure",
     )
     return t
@@ -274,7 +272,8 @@ def build_semidirect_point(rigid: MatrixTuple, r4: RatMatrix | None = None) -> M
 def hom_dim(a: Sequence[RatMatrix], b: Sequence[RatMatrix]) -> int:
     """dim over Q of {Y : A_j Y = Y B_j for all j} (intertwiners b -> a)."""
     n2 = a[0].rows ** 2
-    stacked = (row for x, y in zip(a, b) for row in xl.integer_intertwiner_rows(x, y))
+    pairs = list(zip(a, b, strict=True))  # checked whole: the rank can stop early
+    stacked = (row for x, y in pairs for row in xl.integer_intertwiner_rows(x, y))
     return n2 - xl.integer_rank(stacked, n2)
 
 
@@ -311,22 +310,6 @@ def build_second_block_triple() -> MatrixTuple:
     return build_triple([_pair(TQ_A, TQ_C), _pair(TQ_F, TQ_H), _pair(TQ_U, TQ_W)])
 
 
-def _tq_eigenvalues() -> list[list[Fraction]]:
-    return [
-        [TQ_A, TQ_A, TQ_B, TQ_C],
-        [TQ_F, TQ_F, TQ_G, TQ_H],
-        [TQ_U, TQ_U, TQ_V, TQ_W],
-    ]
-
-
-def build_block_diagonal_triple(first: MatrixTuple, second: MatrixTuple) -> MatrixTuple:
-    mats = [_block2(l, RatMatrix.zero(2, 2), RatMatrix.zero(2, 2), b)
-            for l, b in zip(first.matrices, second.matrices)]
-    t = MatrixTuple(MULTIPLICATIVE, mats, _tq_eigenvalues())
-    _check(verify_closure(t), "block-diagonal triple does not close")
-    return t
-
-
 def triangular_spaces(first: MatrixTuple, second: MatrixTuple) -> dict:
     """The linear spaces attached to block upper-triangular triples
     [[L_j, T_j], [0, B_j]] with product I.
@@ -341,24 +324,25 @@ def triangular_spaces(first: MatrixTuple, second: MatrixTuple) -> dict:
     """
     ls = first.matrices
     bs = second.matrices
-    # maps[j]: the rows of Y -> L_j Y - Y B_j; phi applies them block by block
-    maps = [xl.intertwiner_rows(l.row_lists(), b.row_lists()) for l, b in zip(ls, bs)]
-    size = len(maps[0])
-    phi = RatMatrix.from_rows([
-        [0] * (size * j) + row + [0] * (size * (len(maps) - 1 - j))
-        for j, rows in enumerate(maps) for row in rows
-    ])
+    n = ls[0].rows
+
+    def corners(ys: Sequence[RatMatrix]) -> RatMatrix:
+        """(L_j Y_j - Y_j B_j)_j as one column."""
+        pieces = (l @ y - y @ b for l, y, b in zip(ls, ys, bs, strict=True))
+        return RatMatrix.column([x for piece in pieces for x in piece.entries])
+
     # The upper-right block of the product condition, as a function of the
-    # Y_j, is the corner differential; T is phi of its kernel.
+    # Y_j, is the corner differential; T is the corners of its kernel.
     kernel = xl.nullspace_basis(corner_differential(ls, bs, MULTIPLICATIVE))
     t_basis = xl.IntEchelon()
     t_vectors: list[RatMatrix] = []
     for vec in kernel:
-        image = phi @ vec
+        image = corners(_blocks(vec, n))
         if t_basis.add(xl.integer_row(image.entries)):
             t_vectors.append(image)
-    # one common Y: column k of the stacked maps is the image of the k-th unit matrix
-    q_vectors = [RatMatrix.column([row[k] for rows in maps for row in rows]) for k in range(size)]
+    # one common Y, running over the unit matrices in row-major order
+    units = [RatMatrix(n, n, [int(i == k) for i in range(n * n)]) for k in range(n * n)]
+    q_vectors = [corners([unit] * len(ls)) for unit in units]
     q_basis = xl.IntEchelon()
     for vec in q_vectors:
         q_basis.add(xl.integer_row(vec.entries))
@@ -379,12 +363,7 @@ def build_triangular_triple(first: MatrixTuple, second: MatrixTuple) -> MatrixTu
     """A block upper-triangular triple with trivial centralizer: the
     upper-right blocks span the full space modulo the conjugation subspace."""
     spaces = triangular_spaces(first, second)
-    rep = spaces["representative"]
-    ts = [RatMatrix(2, 2, rep.col(0)[4 * j : 4 * j + 4]) for j in range(3)]
-    mats = [_block2(l, t_blk, RatMatrix.zero(2, 2), b)
-            for l, t_blk, b in zip(first.matrices, ts, second.matrices)]
-    t = MatrixTuple(MULTIPLICATIVE, mats, _tq_eigenvalues())
-    _check(verify_closure(t), "triangular triple does not close")
+    t = block_triangular(first, second, _blocks(spaces["representative"], 2))
     _check(centralizer_dim(t) == 1, "triangular triple centralizer is not trivial")
     return t
 
@@ -422,10 +401,7 @@ def build_zero_index_pair() -> tuple[MatrixTuple, MatrixTuple, MatrixTuple]:
     second = _build_zero_index_quadruple((14, 15))
     _check(hom_dim(first.matrices, second.matrices) == 0, "quadruples are equivalent")
     _check(hom_dim(second.matrices, first.matrices) == 0, "quadruples are equivalent")
-    mats = [_block2(a, RatMatrix.zero(2, 2), RatMatrix.zero(2, 2), b)
-            for a, b in zip(first.matrices, second.matrices)]
-    pair = MatrixTuple(MULTIPLICATIVE, mats, _doubled_eigenvalues(ZERO_INDEX_CLASSES))
-    _check(verify_closure(pair), "direct sum pair does not close")
+    pair = block_triangular(first, second)
     _check(centralizer_dim_of(pair.matrices) == 2, "direct sum pair centralizer dimension")
     return first, second, pair
 

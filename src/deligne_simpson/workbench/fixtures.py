@@ -119,9 +119,9 @@ def _rigid_example() -> Fixture:
 
     rigid = builders.build_rigid_quadruple()
     jordan = builders.build_jordan_quadruple()
-    u_point = builders.build_direct_sum_point(rigid, jordan)
+    u_point = builders.block_triangular(rigid, jordan)
     w_point = builders.build_semidirect_point(rigid)
-    y_point = builders.build_doubled_point(rigid)
+    y_point = builders.block_triangular(rigid, rigid)
 
     E = Expectation
     expectations = (
@@ -219,7 +219,7 @@ def _tq_example() -> Fixture:
     first = builders.build_first_block_triple()
     second = builders.build_second_block_triple()
     triangular = builders.build_triangular_triple(first, second)
-    block_diag = builders.build_block_diagonal_triple(first, second)
+    block_diag = builders.block_triangular(first, second)
     rational_spec = builders.spectrum_of_rationals(block_diag.eigenvalue_lists)
 
     E = Expectation

@@ -88,6 +88,7 @@ def test_centralizer_and_commutator_map_match_dense_operators(seed, n, count, st
     t = MatrixTuple("additive", mats, [[0] * n] * count)
     assert tl.commut_surjective(t) == (xl.rank(xl.hstack(dense)) == n * n - 1)
     assert tl.commut_surjective(t) == (cdim == 1)
+    assert tl.report(t)["commutator_map_surjective"] == tl.commut_surjective(t)
 
 
 @pytest.mark.parametrize("seed,n,count", [(s, n, c) for s in range(3) for n in (2, 3, 4) for c in (2, 3)])

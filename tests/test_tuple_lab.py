@@ -348,3 +348,13 @@ def test_corner_differential_is_the_corner_of_the_block_product(mode):
         expected = [x for row in whole[:n] for x in row[n:]]
         vec = RatMatrix.column([x for y in ys for x in y.entries])
         assert list((tl.corner_differential(ls, bs, mode) @ vec).entries) == expected
+
+
+@pytest.mark.parametrize("mode", ["multiplicative", "additive"])
+def test_corner_differential_rejects_tuples_of_different_lengths(mode):
+    rng = random.Random(41)
+    ls = [random_invertible(rng, 2) for _ in range(4)]
+    with pytest.raises(ValueError):
+        tl.corner_differential(ls, ls[:3], mode)
+    with pytest.raises(ValueError):
+        tl.corner_differential(ls[:3], ls, mode)

@@ -72,8 +72,8 @@ def test_semidirect_point_properties():
 def test_direct_sum_and_doubled_points():
     rigid = wb.build_rigid_quadruple()
     jordan = wb.build_jordan_quadruple()
-    u = wb.build_direct_sum_point(rigid, jordan)
-    y = wb.build_doubled_point(rigid)
+    u = wb.block_triangular(rigid, jordan)
+    y = wb.block_triangular(rigid, rigid)
     assert tl.centralizer_dim(u) == 2
     assert tl.centralizer_dim(y) == 4
     assert tl.orbit_dim(y) == 12
@@ -101,8 +101,75 @@ def test_triangular_triple_trivial_centralizer():
     tri = wb.build_triangular_triple(first, second)
     assert tl.centralizer_dim(tri) == 1
     assert not tl.is_irreducible(tri)
-    block_diag = wb.build_block_diagonal_triple(first, second)
+    block_diag = wb.block_triangular(first, second)
     assert tl.centralizer_dim(block_diag) == 2
+
+
+DIRECT_SUM_PAIRS = [
+    ("rigid", "jordan"),
+    ("rigid", "rigid"),
+    ("first_block", "second_block"),
+    ("component_a", "component_b"),
+    ("jordan", "jordan"),
+]
+
+
+def small_tuples():
+    component_a, component_b, _ = wb.build_zero_index_pair()
+    return {
+        "rigid": wb.build_rigid_quadruple(),
+        "jordan": wb.build_jordan_quadruple(),
+        "first_block": wb.build_first_block_triple(),
+        "second_block": wb.build_second_block_triple(),
+        "component_a": component_a,
+        "component_b": component_b,
+    }
+
+
+@pytest.mark.parametrize("first,second", DIRECT_SUM_PAIRS)
+def test_block_diagonal_centralizer_is_the_direct_sum_identity(first, second):
+    """End(A + B) = End(A) + Hom(B, A) + Hom(A, B) + End(B)."""
+    tuples = small_tuples()
+    a, b = tuples[first].matrices, tuples[second].matrices
+    direct_sum = wb.block_triangular(tuples[first], tuples[second])
+    assert tl.centralizer_dim(direct_sum) == (
+        tl.centralizer_dim_of(a) + tl.centralizer_dim_of(b) + wb.hom_dim(a, b) + wb.hom_dim(b, a)
+    )
+
+
+def test_block_triangular_groups_eigenvalues_and_checks_closure():
+    first = wb.build_first_block_triple()
+    second = wb.build_second_block_triple()
+    assert wb.block_triangular(first, second).eigenvalue_lists == (
+        (F(2), F(2), F(3), F(5)),
+        (F(7), F(7), F(11), F(13)),
+        (F(1, 23), F(1, 23), F(23, 462), F(23, 910)),
+    )
+    rigid = wb.build_rigid_quadruple()
+    corners = [RatMatrix.identity(2)] + [RatMatrix.zero(2, 2)] * 3
+    with pytest.raises(wb.ConstructionFailedError):
+        wb.block_triangular(rigid, rigid, corners)
+    with pytest.raises(ValueError):
+        wb.block_triangular(rigid, first)
+
+
+def test_hom_dim_rejects_tuples_of_different_lengths():
+    rigid = wb.build_rigid_quadruple()
+    first = wb.build_first_block_triple()
+    with pytest.raises(ValueError):
+        wb.hom_dim(rigid.matrices, first.matrices)
+    with pytest.raises(ValueError):
+        wb.hom_dim(first.matrices, rigid.matrices)
+
+
+def test_hom_dim_counts_intertwiners_from_second_to_first():
+    """a is the non-split extension of the character (1, 3) by (2, 5), with
+    (1, 3) as its invariant line; b is (1, 3) twice.  Both copies of b map
+    onto that line, while a has no nonzero map to b."""
+    a = [RatMatrix.from_rows([[1, 1], [0, 2]]), RatMatrix.diagonal([3, 5])]
+    b = [RatMatrix.identity(2), RatMatrix.diagonal([3, 3])]
+    assert wb.hom_dim(a, b) == 2
+    assert wb.hom_dim(b, a) == 0
 
 
 def test_zero_index_pair():
