@@ -312,7 +312,10 @@ def test_tangent_dim_matches_centralizer_oracle_on_seeded_tuples(seed, mode, n, 
     assert tl.verify_closure(t)
     if structure == "doubled":
         assert tl.centralizer_dim(t) >= 4
-    assert tl.tangent_dim(t) == tangent_oracle(t)
+    dense = tl.tangent_dim(t)
+    assert dense == tangent_oracle(t)
+    # report takes the same number from the centralizers, without the differential
+    assert tl.report(t)["tangent_dim"] == dense
 
 
 def test_tangent_dim_matches_centralizer_oracle_on_shipped_tuples():
@@ -320,7 +323,20 @@ def test_tangent_dim_matches_centralizer_oracle_on_shipped_tuples():
     assert len(paths) == 14
     for path in paths:
         t = MatrixTuple.from_json(json.loads(path.read_text(encoding="utf-8")))
-        assert tl.tangent_dim(t) == tangent_oracle(t), path.name
+        dense = tl.tangent_dim(t)
+        assert dense == tangent_oracle(t), path.name
+        assert tl.report(t)["tangent_dim"] == dense, path.name
+
+
+@pytest.mark.parametrize("mode", ["multiplicative", "additive"])
+def test_report_tangent_dim_is_none_for_a_tuple_that_does_not_close(mode):
+    mats = closed_matrices(random.Random(41), mode, 3, 3)
+    broken = MatrixTuple(mode, [*mats[:-1], mats[-1].scale(2)], [[1] * 3] * 3)
+    with pytest.raises(tl.ClosureViolatedError):
+        tl.tangent_dim(broken)
+    rep = tl.report(broken)
+    assert rep["closure"] is False
+    assert rep["tangent_dim"] is None and rep["tangent_dim_is_formal"] is None
 
 
 @pytest.mark.parametrize("mode", ["multiplicative", "additive"])
