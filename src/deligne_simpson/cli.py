@@ -26,7 +26,7 @@ from . import reduction as rd
 from . import spectra as sp
 from . import tuple_lab as tl
 from .exact_linalg import SingularMatrixError
-from .jnf import Partition
+from .jnf import Partition, capped
 from .workbench import builtin_corpus, run_corpus
 from .workbench.export import dumps
 
@@ -218,8 +218,7 @@ def cmd_corpus(args) -> int:
 
 def cmd_dual(args) -> int:
     try:
-        parts = [int(p) for p in args.parts.split(",") if p.strip()]
-        partition = Partition(parts)
+        partition = Partition(capped(int(p) for p in args.parts.split(",") if p.strip()))
     except ValueError as exc:
         raise InputError(f"bad partition {args.parts!r}: {exc}") from exc
     result = partition.dual()

@@ -20,10 +20,26 @@ same diagonal companion.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .exact_linalg import integer, json_list
+
+# The largest size read from input.  A count is expanded before anything
+# else looks at it (a multiplicity m into m blocks, a part p into p dual
+# parts), so counts are checked against this first; ``analyze`` of two
+# classes of size 10**5 takes about half a second.
+SIZE_CAP = 10**5
+
+
+def capped(counts: Iterable) -> list[int]:
+    """The counts as integers when their absolute values sum to at most
+    ``SIZE_CAP``; ValueError otherwise, before anything is built."""
+    values = [integer(c) for c in counts]
+    if sum(abs(v) for v in values) > SIZE_CAP:
+        raise ValueError(f"counts add up to more than {SIZE_CAP}")
+    return values
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -53,9 +69,10 @@ class Partition:
         return f"Partition{self.parts}"
 
     def dual(self) -> Partition:
-        """Conjugate partition, e.g. dual of (4,3,3) is (3,3,3,1)."""
-        width = self.parts[0]
-        return Partition(sum(1 for p in self.parts if p >= k) for k in range(1, width + 1))
+        """Conjugate partition, e.g. dual of (4,3,3) is (3,3,3,1): part k is
+        the number of parts >= k, found by bisection."""
+        ascending = self.parts[::-1]
+        return Partition(len(ascending) - bisect_left(ascending, k) for k in range(1, ascending[-1] + 1))
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -129,8 +146,10 @@ class Jnf:
         if isinstance(data, Mapping):
             if "multiplicities" not in data:
                 raise ValueError("abbreviated JNF needs a 'multiplicities' key")
-            return cls.diagonal(json_list(data["multiplicities"], "multiplicities"))
-        entries = [(item["eigenvalue"], Partition(item["blocks"])) for item in data]
+            return cls.diagonal(capped(json_list(data["multiplicities"], "multiplicities")))
+        blocks = [json_list(item["blocks"], "blocks") for item in data]
+        capped(b for item in blocks for b in item)
+        entries = [(item["eigenvalue"], Partition(b)) for item, b in zip(data, blocks)]
         if not all(isinstance(label, str) for label, _ in entries):
             raise TypeError("eigenvalue labels must be strings")  # not read as "None" or "[1]"
         return cls(entries)

@@ -143,21 +143,16 @@ def admissible_choices(t: JnfTuple) -> tuple[tuple[str, ...], ...]:
     return tuple(out)
 
 
-def _check_step_preconditions(t: JnfTuple) -> int:
-    if t.n <= 1:
-        raise PreconditionViolatedError("size is already 1")
-    if not check_beta(t):
-        raise PreconditionViolatedError("beta fails")
-    if check_omega(t):
-        raise PreconditionViolatedError("omega holds; the step is not defined")
-    return sum(t.min_ranks()) - t.n
-
-
 def reduce_step(t: JnfTuple, choices: Sequence[str] | None = None) -> JnfTuple:
     """One shrinking step.  In each class the chosen eigenvalue (default:
     first admissible label in sorted order) loses 1 from each of its
-    n - n1 smallest blocks; blocks reaching 0 are dropped."""
-    n1 = _check_step_preconditions(t)
+    n - n1 smallest blocks; blocks reaching 0 are dropped.  Raises
+    PreconditionViolatedError where the iteration stops: at size 1, when
+    beta fails, or when omega holds."""
+    stop = _terminal_verdict(t)
+    if stop is not None:
+        raise PreconditionViolatedError(f"the step is not defined: {stop.reason}")
+    n1 = sum(t.min_ranks()) - t.n
     admissible = admissible_choices(t)
     if choices is None:
         choices = tuple(labels[0] for labels in admissible)

@@ -11,10 +11,13 @@ The checks provided:
 * ``verify_closure`` -- exact product-is-I / sum-is-0 test;
 * ``jnf_of`` / ``class_membership`` -- Jordan structure from the rank
   sequence rank((m - lam I)^k);
-* ``centralizer_dim`` and ``commut_surjective`` -- kernel and image
-  dimensions of the stacked commutator maps on the n^2-dimensional matrix
-  space (a tuple has trivial centralizer iff the summed commutator map is
-  onto the trace-zero matrices);
+* ``centralizer_dim`` -- kernel dimension of the stacked commutator maps
+  on the n^2-dimensional matrix space;
+* ``commut_surjective`` -- whether the summed commutator map is onto the
+  trace-zero matrices, read off the centralizer by trace duality: the
+  image is the orthogonal complement of the centralizer under
+  (X, Y) -> trace(XY), so it is onto exactly when the centralizer is the
+  scalars;
 * ``is_irreducible`` -- the generated unital algebra has dimension n^2
   (Burnside's criterion);
 * ``corner_differential`` -- the linear map that the upper-right block of
@@ -234,12 +237,10 @@ def has_trivial_centralizer(t: MatrixTuple) -> bool:
 
 def commut_surjective(t: MatrixTuple) -> bool:
     """True iff (X_1, ..., X_{p+1}) -> sum_j [M_j, X_j] maps onto the
-    trace-zero matrices; equivalent to the centralizer being trivial."""
-    # Each block may carry its own scale: scaling a column block changes no rank.
-    blocks = [xl.integer_intertwiner_rows(m, m) for m in t.matrices]
-    side_by_side = ([x for block in blocks for x in block[r]] for r in range(t.n**2))
-    # the image lies in the trace-zero matrices, so the rank is at most n^2 - 1
-    return xl.integer_rank(side_by_side, t.n**2 - 1) == t.n**2 - 1
+    trace-zero matrices.  By trace duality its image is the orthogonal
+    complement of the centralizer, so this is the centralizer being the
+    scalars."""
+    return centralizer_dim(t) == 1
 
 
 def is_irreducible(t: MatrixTuple) -> bool:
@@ -346,10 +347,7 @@ def report(t: MatrixTuple) -> dict:
     cdim = centralizer_dim(t)
     out["centralizer_dim"] = cdim
     out["trivial_centralizer"] = cdim == 1
-    # By trace duality the image of sum_j [M_j, X_j] is the orthogonal
-    # complement of the centralizer, so it is onto the trace-zero matrices
-    # exactly when the centralizer is the scalars.
-    out["commutator_map_surjective"] = cdim == 1
+    out["commutator_map_surjective"] = cdim == 1  # trace duality, as in ``commut_surjective``
     out["irreducible"] = is_irreducible(t)
     out["orbit_dim"] = t.n**2 - cdim
     # The same duality gives the tangent dimension without building the

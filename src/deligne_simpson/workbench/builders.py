@@ -5,9 +5,16 @@ central device is ``split_product``: factor a given 2x2 upper-triangular
 matrix W as X @ Y with X and Y in prescribed diagonalizable conjugacy
 classes.  Writing V = X^-1, the class of X fixes trace(V) and det(V), and
 the class of Y fixes trace(V @ W); with W upper triangular these are one
-linear condition on the entries of V, so a solution with v21 = 1 can be
-written down directly.  Determinants match automatically, so Y = V @ W
-lands in its class whenever its two prescribed eigenvalues are distinct.
+linear condition on the entries of V, so a solution with lower-left entry
+1 can be written down directly.  Determinants match automatically, so
+Y = V @ W lands in its class whenever its two prescribed eigenvalues are
+distinct.
+
+Every 2x2 tuple comes from one constructor, ``closed_tuple``: given the
+leading matrices ``before`` and the trailing matrices ``after``, it closes
+the tuple (*before, X, Y, *after) to product I by splitting
+(after @ before)^-1 into X @ Y, and checks closure, class membership,
+generic eigenvalues and irreducibility.
 
 Every 4x4 point is an extension of two 2x2 tuples: ``block_triangular`` is
 the one constructor of the matrices [[L_j, T_j], [0, B_j]], block diagonal
@@ -115,7 +122,7 @@ def spectrum_of_rationals(
     return SpectrumAssignment(classes)
 
 
-def split_product(w: RatMatrix, second: Pair, third: Pair, v21: Fraction = Fraction(1)) -> tuple[RatMatrix, RatMatrix]:
+def split_product(w: RatMatrix, second: Pair, third: Pair) -> tuple[RatMatrix, RatMatrix]:
     """Factor the 2x2 matrix w (upper triangular, distinct diagonal) as
     X @ Y with X diagonalizable in the class of ``second`` and Y in the
     class of ``third``.  Requires det(w) = product of all four eigenvalues'
@@ -130,11 +137,9 @@ def split_product(w: RatMatrix, second: Pair, third: Pair, v21: Fraction = Fract
     tr_v = 1 / a2 + 1 / b2
     det_v = 1 / (a2 * b2)
     target = a3 + b3
-    v11 = (target - tr_v * w[1, 1] - v21 * w[0, 1]) / (w[0, 0] - w[1, 1])
+    v11 = (target - tr_v * w[1, 1] - w[0, 1]) / (w[0, 0] - w[1, 1])
     v22 = tr_v - v11
-    _check(v21 != 0, "v21 must be nonzero")
-    v12 = (v11 * v22 - det_v) / v21
-    v = RatMatrix.from_rows([[v11, v12], [v21, v22]])
+    v = RatMatrix.from_rows([[v11, v11 * v22 - det_v], [1, v22]])
     x = xl.inverse(v)
     y = v @ w
     _check(x.trace() == a2 + b2, "second factor trace mismatch")
@@ -142,25 +147,25 @@ def split_product(w: RatMatrix, second: Pair, third: Pair, v21: Fraction = Fract
     return x, y
 
 
-def _quadruple(
-    matrices: Sequence[RatMatrix], eigenvalue_pairs: Sequence[Pair]
+def closed_tuple(
+    classes: Sequence[Pair], before: Sequence[RatMatrix], after: Sequence[RatMatrix] = ()
 ) -> MatrixTuple:
-    return MatrixTuple(
-        MULTIPLICATIVE,
-        matrices,
-        [[a, b] for a, b in eigenvalue_pairs],
+    """The 2x2 tuple (*before, X, Y, *after) with product I, one
+    diagonalizable class per matrix: X @ Y = (after @ before)^-1, factored
+    by ``split_product``.  Raises ConstructionFailedError unless the tuple
+    closes, its eigenvalues are generic and it is irreducible, and
+    WrongSpectrumError when a matrix is not in its class."""
+    x, y = split_product(
+        xl.inverse(xl.product([*after, *before])), classes[len(before)], classes[len(before) + 1]
     )
-
-
-def _validate_small_tuple(t: MatrixTuple, generic: bool, irreducible: bool) -> None:
+    t = MatrixTuple(MULTIPLICATIVE, [*before, x, y, *after], [[a, b] for a, b in classes])
     _check(verify_closure(t), "tuple does not close")
     for m, eigs in zip(t.matrices, t.eigenvalue_lists):
         jnf_of(m, eigs)  # raises WrongSpectrumError on a bad class
-    if generic:
-        rep = is_generic(spectrum_of_rationals(t.eigenvalue_lists))
-        _check(rep.verdict == "generic", f"eigenvalues are not generic: {rep.verdict}")
-    if irreducible:
-        _check(is_irreducible(t), "tuple is unexpectedly reducible")
+    rep = is_generic(spectrum_of_rationals(t.eigenvalue_lists))
+    _check(rep.verdict == "generic", f"eigenvalues are not generic: {rep.verdict}")
+    _check(is_irreducible(t), "tuple is unexpectedly reducible")
+    return t
 
 
 # Frozen eigenvalue data.  The rigid family uses classes (2,3), (5,7),
@@ -179,27 +184,14 @@ def build_rigid_quadruple() -> MatrixTuple:
     """Three diagonalizable 2x2 matrices with product -I, completed by the
     scalar -I into a closed quadruple.  The triple is irreducible and its
     class tuple is rigid (index 2)."""
-    c1, c2, c3, _ = RIGID_CLASSES
-    n1 = RatMatrix.diagonal(c1)
-    w = xl.inverse(n1).scale(-1)  # N2 @ N3 must equal -N1^-1
-    n2, n3 = split_product(w, c2, c3)
-    n4 = RatMatrix.identity(2).scale(-1)
-    t = _quadruple([n1, n2, n3, n4], RIGID_CLASSES)
-    _validate_small_tuple(t, generic=True, irreducible=True)
-    _check(xl.product([n1, n2, n3]) == n4, "triple product is not -I")
-    return t
+    return closed_tuple(RIGID_CLASSES, [RatMatrix.diagonal(RIGID_CLASSES[0])], [RatMatrix.identity(2).scale(-1)])
 
 
 def build_jordan_quadruple() -> MatrixTuple:
     """Same first three classes as the rigid quadruple, but the fourth
     matrix is a Jordan block of size 2 at -1 (index of rigidity 0)."""
-    c1, c2, c3, _ = RIGID_CLASSES
     p4 = RatMatrix.from_rows([[-1, 1], [0, -1]])
-    p1 = RatMatrix.diagonal(c1)
-    w = xl.inverse(p1) @ xl.inverse(p4)  # P2 @ P3 must equal P1^-1 P4^-1
-    p2, p3 = split_product(w, c2, c3)
-    t = _quadruple([p1, p2, p3, p4], RIGID_CLASSES)
-    _validate_small_tuple(t, generic=True, irreducible=True)
+    t = closed_tuple(RIGID_CLASSES, [RatMatrix.diagonal(RIGID_CLASSES[0])], [p4])
     _check(jnf_of(p4, [-1, -1]) == Jnf([("-1", [2])]), "fourth matrix is not a Jordan block")
     return t
 
@@ -292,14 +284,7 @@ def build_triple(classes: Sequence[Pair]) -> MatrixTuple:
     """An irreducible 2x2 triple with product I in the three given
     diagonalizable classes (eigenvalue product over all classes must be 1
     and the eigenvalues generic)."""
-    c1, c2, c3 = classes
-    _check(c1[0] != c1[1], "first class needs distinct eigenvalues")
-    l1 = RatMatrix.diagonal(c1)
-    w = xl.inverse(l1)
-    l2, l3 = split_product(w, c2, c3)
-    t = MatrixTuple(MULTIPLICATIVE, [l1, l2, l3], [[a, b] for a, b in classes])
-    _validate_small_tuple(t, generic=True, irreducible=True)
-    return t
+    return closed_tuple(classes, [RatMatrix.diagonal(classes[0])])
 
 
 def build_first_block_triple() -> MatrixTuple:
@@ -378,18 +363,11 @@ ZERO_INDEX_CLASSES: tuple[Pair, ...] = (
 )
 
 
-def _build_zero_index_quadruple(w_diag: tuple[int, int], omega: Fraction = Fraction(0)) -> MatrixTuple:
-    c1, c2, c3, c4 = ZERO_INDEX_CLASSES
-    w1, w2 = w_diag
-    b1 = RatMatrix.diagonal(c1)
-    winv = RatMatrix.from_rows([[w1, omega], [0, w2]])
-    b2 = xl.inverse(b1) @ winv
-    _check(sorted((b2[0, 0], b2[1, 1])) == sorted(c2), "second matrix class mismatch")
-    w = xl.inverse(winv)
-    b3, b4 = split_product(w, c3, c4)
-    t = _quadruple([b1, b2, b3, b4], ZERO_INDEX_CLASSES)
-    _validate_small_tuple(t, generic=True, irreducible=True)
-    return t
+def _build_zero_index_quadruple(w_diag: tuple[int, int]) -> MatrixTuple:
+    b1 = RatMatrix.diagonal(ZERO_INDEX_CLASSES[0])
+    b2 = xl.inverse(b1) @ RatMatrix.diagonal(w_diag)
+    _check(sorted((b2[0, 0], b2[1, 1])) == sorted(ZERO_INDEX_CLASSES[1]), "second matrix class mismatch")
+    return closed_tuple(ZERO_INDEX_CLASSES, [b1, b2])
 
 
 def build_zero_index_pair() -> tuple[MatrixTuple, MatrixTuple, MatrixTuple]:

@@ -44,7 +44,6 @@ _OPERATIONS = {
         "kappa": lambda f, e, t: rd.kappa(t),
         "expected_dim": lambda f, e, t: rd.expected_dim(t),
         "alpha": lambda f, e, t: rd.check_alpha(t),
-        "beta": lambda f, e, t: rd.check_beta(t),
         "omega": lambda f, e, t: rd.check_omega(t),
         "rigidity": lambda f, e, t: rd.classify_rigidity(t).kind.value,
         "solvable": lambda f, e, t: rd.solvable_generic(t).verdict.solvable,
@@ -59,27 +58,21 @@ _OPERATIONS = {
     },
     sp.SpectrumAssignment: {
         "classify": lambda f, e, s: sp.classify(s).verdict,
-        "is_generic": lambda f, e, s: sp.is_generic(s).verdict,
-        "global_condition": lambda f, e, s: sp.global_condition(s),
         "basic_q": lambda f, e, s: _basic(s, lambda b: b.q, 1),
         "basic_m": lambda f, e, s: _basic(s, lambda b: b.m),
         "basic_root_phase":
             lambda f, e, s: _basic(s, lambda b: None if b.root_phase is None else str(b.root_phase)),
-        "basic_relation_present": lambda f, e, s: _basic(s, lambda b: b.relation is not None),
         "contains_witness":
             lambda f, e, s: e.params["witness"] in [w.to_json() for w in sp.all_relations(s)],
-        "witness_count": lambda f, e, s: len(sp.all_relations(s)),
     },
     tl.MatrixTuple: {
         "closure": lambda f, e, t: tl.verify_closure(t),
         "centralizer_dim": lambda f, e, t: tl.centralizer_dim(t),
-        "trivial_centralizer": lambda f, e, t: tl.has_trivial_centralizer(t),
         "commut_surjective": lambda f, e, t: tl.commut_surjective(t),
         "irreducible": lambda f, e, t: tl.is_irreducible(t),
         "tangent_dim": lambda f, e, t: tl.tangent_dim(t),
         "orbit_dim": lambda f, e, t: tl.orbit_dim(t),
         "kappa_of_tuple": lambda f, e, t: rd.kappa(tl.jnf_tuple_of(t)),
-        "expected_dim_of_tuple": lambda f, e, t: rd.expected_dim(tl.jnf_tuple_of(t)),
         "jnf_of_matrix": lambda f, e, t: _jnf_of_matrix(t, e.params["index"]),
         "in_declared_classes": lambda f, e, t: all(
             tl.class_membership(m, Jnf.from_json(j)) for m, j in zip(t.matrices, e.params["jnfs"])

@@ -1,6 +1,7 @@
 import copy
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from deligne_simpson import reduction as rd
 from deligne_simpson import spectra as sp
 from deligne_simpson import tuple_lab as tl
 from deligne_simpson.cli import main
+from deligne_simpson.jnf import SIZE_CAP
 from deligne_simpson.workbench import fixture_by_name
 from deligne_simpson.workbench.export import dumps
 
@@ -47,6 +49,28 @@ def test_dual(capsys):
     assert code == 0 and json.loads(out) == {"partition": [3, 2], "dual": [2, 2, 1]}
     code, _, err = run(capsys, "dual", "4,x")
     assert code == 2 and "error" in err
+
+
+def test_dual_rejects_parts_past_the_size_cap_before_expanding_them(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "dual", "99999999999")
+    assert code == 2 and "bad partition" in err
+    assert time.perf_counter() - start < 1
+    assert run(capsys, "dual", f"{SIZE_CAP},1")[0] == 2
+    code, out, _ = run(capsys, "dual", str(SIZE_CAP))
+    assert code == 0 and out.strip() == ",".join(["1"] * SIZE_CAP)
+
+
+@pytest.mark.parametrize(
+    "jnf",
+    [{"multiplicities": [10**9]}, {"multiplicities": [10**9, 1 - 10**9]}, [{"eigenvalue": "a", "blocks": [10**9]}]],
+    ids=["multiplicity", "cancelling-multiplicities", "block"],
+)
+def test_analyze_rejects_counts_past_the_size_cap(tmp_path, capsys, jnf):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"jnfs": [jnf] * 2}), encoding="utf-8")
+    code, _, err = run(capsys, "analyze", "-i", str(path), "--json")
+    assert code == 2 and "bad JNF tuple" in err
 
 
 def test_analyze_example1(capsys):
@@ -197,16 +221,15 @@ def json_nodes(data, path: tuple = ()):
         yield from json_nodes(child, path + (key,))
 
 
-# Small counts only: a multiplicity is expanded into that many blocks.
-small_ints = st.integers(-2, 6)
+ints = st.one_of(st.integers(-2, 6), st.sampled_from([SIZE_CAP + 1, 10**9, 10**12]))
 json_values = st.one_of(
-    small_ints,
+    ints,
     st.floats(-4, 4),
     st.text(max_size=4),
     st.booleans(),
     st.none(),
-    st.lists(small_ints, max_size=3),
-    st.dictionaries(st.text(max_size=2), small_ints, max_size=2),
+    st.lists(ints, max_size=3),
+    st.dictionaries(st.text(max_size=2), ints, max_size=2),
 )
 
 

@@ -98,6 +98,7 @@ partitions = st.lists(st.integers(1, 6), min_size=1, max_size=6).map(Partition)
 
 @given(partitions)
 def test_dual_is_involution(p):
+    assert p.dual().parts == tuple(sum(1 for x in p if x >= k) for k in range(1, p.parts[0] + 1))
     assert p.dual().dual() == p
     assert p.dual().total() == p.total()
 

@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,8 @@ from deligne_simpson.jnf import Jnf, Partition
 from deligne_simpson.reduction import JnfTuple
 
 from conftest import random_jnf_tuple
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def j_star() -> JnfTuple:
@@ -79,10 +83,12 @@ def test_reduce_step_hand_trace():
 
 
 def test_reduce_step_preconditions_and_choices():
-    with pytest.raises(rd.PreconditionViolatedError):
-        rd.reduce_step(zero_index_22())  # omega holds
-    with pytest.raises(rd.PreconditionViolatedError):
-        rd.reduce_step(JnfTuple([Jnf.diagonal([1, 1])] * 2))  # beta fails
+    with pytest.raises(rd.PreconditionViolatedError, match="omega holds"):
+        rd.reduce_step(zero_index_22())
+    with pytest.raises(rd.PreconditionViolatedError, match="beta fails"):
+        rd.reduce_step(JnfTuple([Jnf.diagonal([1, 1])] * 2))
+    with pytest.raises(rd.PreconditionViolatedError, match="size reached 1"):
+        rd.reduce_step(JnfTuple([Jnf.diagonal([1])] * 3))
     t = j_star()
     with pytest.raises(rd.InvalidChoiceError):
         rd.reduce_step(t, ["e1", "e1", "e1", "nope"])
@@ -178,6 +184,17 @@ def test_explored_traces_follow_the_choice_tree_and_start_with_solvable_generic(
                 assert nxt.tuple == rd.reduce_step(step.tuple, step.chosen)
                 assert step.n_next == nxt.tuple.n
         assert rd.solvable_generic(t) == traces[0]
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.analyze.json")), ids=lambda p: p.name)
+def test_reduce_step_raises_exactly_at_the_last_stage_of_every_shipped_trace(path):
+    t = JnfTuple.from_json(json.loads(path.read_text(encoding="utf-8"))["jnfs"])
+    for trc in rd.explore_all_traces(t):
+        for step, nxt in zip(trc.steps, trc.steps[1:]):
+            assert rd.reduce_step(step.tuple, step.chosen) == nxt.tuple
+        with pytest.raises(rd.PreconditionViolatedError) as raised:
+            rd.reduce_step(trc.steps[-1].tuple)
+        assert trc.verdict.reason in str(raised.value)
 
 
 def test_trace_json_shape():

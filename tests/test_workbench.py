@@ -208,6 +208,19 @@ def test_corpus_all_pass():
         assert r.expectation.provenance in ("reported", "derived", "direct")
 
 
+def test_every_corpus_operation_is_named_by_an_expectation():
+    from deligne_simpson.workbench.runner import _OPERATIONS
+
+    defined = {(kind, op) for kind, table in _OPERATIONS.items() for op in table}
+    named = {
+        (type(fixture.target(e.target)), e.operation)
+        for fixture in wb.builtin_corpus()
+        for e in fixture.expectations
+        if e.operation != "triangular_space_dim"  # dispatched before the table
+    }
+    assert defined - named == set()
+
+
 def test_fixture_lookup_and_validation():
     fx = wb.fixture_by_name("example4")
     assert set(fx.matrix_tuples) == {"first_quadruple", "second_quadruple"}
@@ -230,6 +243,8 @@ def test_fixture_lookup_and_validation():
 
 
 def test_build_triple_rejects_bad_classes():
-    with pytest.raises(wb.ConstructionFailedError):
-        # determinant product is not 1
+    with pytest.raises(wb.ConstructionFailedError, match="determinants do not match"):
         wb.build_triple([(F(2), F(3)), (F(5), F(7)), (F(1), F(2))])
+    # the determinants match, but 2 * 5 * (1/10) = 1
+    with pytest.raises(wb.ConstructionFailedError, match="not generic"):
+        wb.build_triple([(F(2), F(3)), (F(5), F(7)), (F(1, 10), F(1, 21))])
