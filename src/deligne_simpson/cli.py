@@ -25,7 +25,6 @@ import sys
 from . import reduction as rd
 from . import spectra as sp
 from . import tuple_lab as tl
-from .exact_linalg import SingularMatrixError
 from .jnf import Partition, capped
 from .workbench import builtin_corpus, run_corpus
 from .workbench.export import dumps
@@ -45,7 +44,7 @@ def _load_json(path: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax or encoding, a huge integer, deep nesting
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path} must hold a JSON object, not {type(data).__name__}")
@@ -98,7 +97,7 @@ def cmd_analyze(args) -> int:
             for j, r, d in zip(tup.jnfs, tup.min_ranks(), tup.class_dims())
         ],
         "kappa": rd.kappa(tup),
-        "rigidity": rd.classify_rigidity(tup).kind.value,
+        "rigidity": rd.classify_rigidity(tup),
         "alpha": rd.check_alpha(tup),
         "beta": rd.check_beta(tup),
         "omega": rd.check_omega(tup),
@@ -160,12 +159,7 @@ def cmd_verify(args) -> int:
         tup = tl.MatrixTuple.from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad matrix tuple: {exc}") from exc
-    if len(tup) < 2:
-        raise InputError("bad matrix tuple: need at least two matrices")
-    try:
-        report = tl.report(tup)
-    except SingularMatrixError as exc:
-        raise InputError(f"bad matrix tuple: {exc}") from exc
+    report = tl.report(tup)
     if args.json:
         sys.stdout.write(dumps(report))
         return 0

@@ -97,16 +97,15 @@ class Jnf:
         object.__setattr__(self, "size", sum(p.total() for _, p in entries))
 
     @classmethod
-    def diagonal(cls, multiplicities: Sequence[int], labels: Sequence[str] | None = None) -> Jnf:
-        """Diagonal JNF from eigenvalue multiplicities; labels default to e1, e2, ..."""
+    def diagonal(cls, multiplicities: Sequence[int]) -> Jnf:
+        """Diagonal JNF from eigenvalue multiplicities, labelled e1, e2, ..."""
         mults = sorted((integer(m) for m in multiplicities), reverse=True)
-        if labels is None:
-            labels = [f"e{i + 1}" for i in range(len(mults))]
-        return cls((lab, Partition([1] * m)) for lab, m in zip(labels, mults))
+        return cls((f"e{i + 1}", Partition([1] * m)) for i, m in enumerate(mults))
 
     @classmethod
-    def single(cls, blocks: Sequence[int], label: str = "e1") -> Jnf:
-        return cls([(label, Partition(blocks))])
+    def single(cls, blocks: Sequence[int]) -> Jnf:
+        """One eigenvalue, labelled e1, with the given Jordan blocks."""
+        return cls([("e1", Partition(blocks))])
 
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.blocks_by_eigenvalue)

@@ -13,6 +13,8 @@ n1 = sum r_j - n; in each class pick an eigenvalue with the maximal block
 count n - r_j and decrement its n - n1 smallest blocks by one (dropping
 empty blocks).  The result is a tuple of size n1, and the index of
 rigidity kappa = 2 n^2 - sum d_j is invariant under the step.
+``classify_rigidity`` names the case of kappa as a plain string ("rigid",
+"zero_index", "negative_index" or "other"), the form its readers print.
 
 For conjugacy classes with generic eigenvalues, the problem of finding an
 irreducible tuple with product I (or sum 0) is solvable exactly when this
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
 from .jnf import Jnf, Partition, class_dim, min_rank
@@ -109,28 +110,18 @@ def expected_dim(t: JnfTuple) -> int:
     return sum(t.class_dims()) - t.n**2 + 1
 
 
-class RigidityKind(Enum):
-    RIGID = "rigid"
-    ZERO_INDEX = "zero_index"
-    NEGATIVE_INDEX = "negative_index"
-    OTHER = "other"
-
-
-@dataclass(frozen=True)
-class Rigidity:
-    kind: RigidityKind
-    kappa: int
-
-
-def classify_rigidity(t: JnfTuple) -> Rigidity:
+def classify_rigidity(t: JnfTuple) -> str:
+    """The case of kappa, by the name the CLI and the corpus print: "rigid"
+    (kappa 2), "zero_index" (kappa 0), "negative_index" (even kappa < 0) or
+    "other"."""
     k = kappa(t)
     if k == 2:
-        return Rigidity(RigidityKind.RIGID, k)
+        return "rigid"
     if k == 0:
-        return Rigidity(RigidityKind.ZERO_INDEX, k)
+        return "zero_index"
     if k < 0 and k % 2 == 0:
-        return Rigidity(RigidityKind.NEGATIVE_INDEX, k)
-    return Rigidity(RigidityKind.OTHER, k)
+        return "negative_index"
+    return "other"
 
 
 def admissible_choices(t: JnfTuple) -> tuple[tuple[str, ...], ...]:

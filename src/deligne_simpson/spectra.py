@@ -129,10 +129,15 @@ class FormalScalar:
     def from_json(cls, data: Mapping, mode: str) -> FormalScalar:
         _require_object(data, "scalar")
         if mode == MULTIPLICATIVE:
-            return cls.multiplicative(data.get("exponents"), rat(data.get("phase", 0)))
-        if mode == ADDITIVE:
-            return cls.additive(data.get("coefficients"), rat(data.get("constant", 0)))
-        raise ValueError(f"unknown mode {mode!r}")
+            keys, build = ("exponents", "phase"), cls.multiplicative
+        elif mode == ADDITIVE:
+            keys, build = ("coefficients", "constant"), cls.additive
+        else:
+            raise ValueError(f"unknown mode {mode!r}")
+        extra = sorted(set(data) - set(keys))
+        if extra:
+            raise ValueError(f"a {mode} scalar takes only {keys[0]!r} and {keys[1]!r}, not {extra}")
+        return build(data.get(keys[0]), rat(data.get(keys[1], 0)))
 
 
 def combine(

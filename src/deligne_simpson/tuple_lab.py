@@ -1,10 +1,12 @@
 """Analysis of explicit rational matrix tuples.
 
-A ``MatrixTuple`` is a list of n x n rational matrices, either in
-multiplicative mode (intended product I) or additive mode (intended sum 0),
-each with a caller-supplied list of its n eigenvalues.  Eigenvalues are
-validated against rank sequences rather than computed, so everything stays
-inside exact rational arithmetic.
+A ``MatrixTuple`` is a list of at least two n x n rational matrices,
+either in multiplicative mode (intended product I, so every matrix must be
+invertible) or additive mode (intended sum 0), each with a caller-supplied
+list of its n eigenvalues.  Construction rejects a tuple that breaks these
+rules, so no check below repeats them.  Eigenvalues are validated against
+rank sequences rather than computed, so everything stays inside exact
+rational arithmetic.
 
 The checks provided:
 
@@ -66,7 +68,8 @@ class ClosureViolatedError(TupleLabError):
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class MatrixTuple:
-    """Square rational matrices of one size, with claimed eigenvalue lists."""
+    """At least two square rational matrices of one size, with claimed
+    eigenvalue lists; in multiplicative mode each matrix is invertible."""
 
     mode: str
     matrices: tuple[RatMatrix, ...]
@@ -81,8 +84,8 @@ class MatrixTuple:
         if mode not in (MULTIPLICATIVE, ADDITIVE):
             raise ValueError(f"unknown mode {mode!r}")
         mats = tuple(matrices)
-        if not mats:
-            raise ValueError("need at least one matrix")
+        if len(mats) < 2:
+            raise ValueError("need at least two matrices")
         n = mats[0].rows
         for m in mats:
             if m.rows != m.cols or m.rows != n:
@@ -95,6 +98,8 @@ class MatrixTuple:
                 raise ValueError(f"each eigenvalue list must have length {n}")
             if mode == MULTIPLICATIVE and any(x == 0 for x in lst):
                 raise ValueError("multiplicative-mode eigenvalues must be nonzero")
+        if mode == MULTIPLICATIVE and any(xl.rank(m) < n for m in mats):
+            raise ValueError("multiplicative-mode matrix is singular")
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "eigenvalue_lists", eigs)
@@ -128,9 +133,6 @@ class MatrixTuple:
 def verify_closure(t: MatrixTuple) -> bool:
     """Exact check of product = I (multiplicative) or sum = 0 (additive)."""
     if t.mode == MULTIPLICATIVE:
-        for m in t.matrices:
-            if xl.rank(m) != t.n:
-                raise xl.SingularMatrixError("multiplicative-mode matrix is singular")
         return xl.product(t.matrices).is_identity()
     total = t.matrices[0]
     for m in t.matrices[1:]:
@@ -337,13 +339,13 @@ def report(t: MatrixTuple) -> dict:
     closed = verify_closure(t)
     out["closure"] = closed
     try:
-        jnfs = [jnf_of(m, eigs) for m, eigs in zip(t.matrices, t.eigenvalue_lists)]
+        jt = jnf_tuple_of(t)
     except WrongSpectrumError as exc:
         out["jnfs"] = None
         out["wrong_spectrum"] = str(exc)
-        jnfs = None
+        jt = None
     else:
-        out["jnfs"] = [j.to_json() for j in jnfs]
+        out["jnfs"] = jt.to_json()
     cdim = centralizer_dim(t)
     out["centralizer_dim"] = cdim
     out["trivial_centralizer"] = cdim == 1
@@ -363,8 +365,7 @@ def report(t: MatrixTuple) -> dict:
         out["tangent_dim_is_formal"] = cdim != 1
     else:
         out["tangent_dim"] = out["tangent_dim_is_formal"] = None
-    if jnfs is not None:
-        jt = JnfTuple(jnfs)
+    if jt is not None:
         out["expected_dim"] = expected_dim(jt)
         out["kappa"] = kappa(jt)
     else:

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 from ..jnf import Jnf
 from ..reduction import JnfTuple
 from ..spectra import ADDITIVE, FormalScalar, RelationWitness, SpectrumAssignment
-from ..tuple_lab import MatrixTuple, verify_closure
+from ..tuple_lab import MatrixTuple
 from . import builders
 
 
@@ -61,11 +61,6 @@ class Fixture:
     matrix_tuples: Mapping[str, MatrixTuple] = field(default_factory=dict)
     expectations: tuple[Expectation, ...] = ()
     notes: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        for name, t in self.matrix_tuples.items():
-            if not verify_closure(t):
-                raise ValueError(f"fixture {self.name}: tuple {name} does not close")
 
     def target(self, name: str) -> JnfTuple | SpectrumAssignment | MatrixTuple:
         """The object an expectation's target names: "main" or "aux:X" (a

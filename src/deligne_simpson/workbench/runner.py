@@ -45,7 +45,7 @@ _OPERATIONS = {
         "expected_dim": lambda f, e, t: rd.expected_dim(t),
         "alpha": lambda f, e, t: rd.check_alpha(t),
         "omega": lambda f, e, t: rd.check_omega(t),
-        "rigidity": lambda f, e, t: rd.classify_rigidity(t).kind.value,
+        "rigidity": lambda f, e, t: rd.classify_rigidity(t),
         "solvable": lambda f, e, t: rd.solvable_generic(t).verdict.solvable,
         "chain": lambda f, e, t: list(rd.solvable_generic(t).sizes()),
         "kappa_invariant_along_trace":
@@ -55,6 +55,9 @@ _OPERATIONS = {
         "classes_correspond": lambda f, e, t: corresponds(
             t.jnfs[e.params["index"]], f.aux_jnf_tuples[e.params["other"]].jnfs[e.params["index"]]
         ),
+        "triangular_space_dim": lambda f, e, t: builders.triangular_spaces(
+            f.matrix_tuples[e.params["first"]], f.matrix_tuples[e.params["second"]]
+        )["dim_full" if e.params["which"] == "full" else "dim_conjugation"],
     },
     sp.SpectrumAssignment: {
         "classify": lambda f, e, s: sp.classify(s).verdict,
@@ -85,12 +88,6 @@ _OPERATIONS = {
 
 def evaluate_expectation(fixture: Fixture, exp: Expectation):
     """Recompute the value an expectation constrains; returns a JSON-able."""
-    if exp.operation == "triangular_space_dim":
-        first = fixture.matrix_tuples[exp.params["first"]]
-        second = fixture.matrix_tuples[exp.params["second"]]
-        spaces = builders.triangular_spaces(first, second)
-        key = "dim_full" if exp.params["which"] == "full" else "dim_conjugation"
-        return spaces[key]
     target = fixture.target(exp.target)
     return _OPERATIONS[type(target)][exp.operation](fixture, exp, target)
 

@@ -28,6 +28,7 @@ from deligne_simpson.jnf import (
 from deligne_simpson.workbench.export import dumps
 
 from conftest import random_additive_tuple, random_invertible, random_jnf
+from oracles import commutation_system
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -147,7 +148,8 @@ def test_criterion_9_equivalence_oracles():
         n = rng.choice([2, 2, 3, 3, 4])
         count = rng.randint(2, 4)
         t = random_additive_tuple(rng, n, count)
-        assert tl.commut_surjective(t) == tl.has_trivial_centralizer(t)
+        side_by_side = xl.hstack([xl.RatMatrix.from_rows(commutation_system(m.row_lists())) for m in t.matrices])
+        assert tl.commut_surjective(t) == (xl.rank(side_by_side) == n * n - 1)
 
     values_pool = sorted({F(k, d) for k in range(-9, 10) for d in (1, 2, 3)})
     for _ in range(1000):
@@ -156,8 +158,7 @@ def test_criterion_9_equivalence_oracles():
         rng.shuffle(pool)
         values = {label: pool.pop() for label, _ in j.blocks_by_eigenvalue}
         m = tl.jordan_realization(j, values)
-        single = tl.MatrixTuple("additive", [m], [[0] * j.size])
-        assert centralizer_dim_of_jnf(j) == tl.centralizer_dim(single)
+        assert centralizer_dim_of_jnf(j) == tl.centralizer_dim_of([m])
 
     quad = wb.fixture_by_name("example4").matrix_tuples["first_quadruple"]
     base = (

@@ -130,6 +130,48 @@ def test_analyze_malformed_inputs(tmp_path, capsys):
         assert code == 2 and "bad spectrum" in err
 
 
+@pytest.mark.parametrize("content", [
+    b"[" * 200_000,
+    b"\xff\xfe{}",
+    b'{"jnfs": [{"multiplicities": [' + b"7" * 5000 + b"]}]}",
+], ids=["deep", "utf16-bom", "5000-digits"])
+def test_unreadable_json_is_input_error(tmp_path, capsys, content):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    for command in ("analyze", "verify"):
+        code, _, err = run(capsys, command, "-i", str(path))
+        assert code == 2 and "internal error" not in err, command
+
+
+@pytest.mark.parametrize("mode,scalar", [
+    ("additive", {"exponents": {"a": "1"}}),
+    ("additive", {"coefficients": {"a": "1"}, "phase": "1/2"}),
+    ("multiplicative", {"coefficients": {"a": "1"}}),
+    ("multiplicative", {"exponents": {"a": "1"}, "constant": "1"}),
+])
+def test_scalar_with_the_other_modes_keys_is_input_error(tmp_path, capsys, mode, scalar):
+    keys = ("exponents", "phase") if mode == "multiplicative" else ("coefficients", "constant")
+    payload = {
+        "jnfs": [{"multiplicities": [1, 1]}, {"multiplicities": [2]}],
+        "spectrum": {
+            "mode": mode,
+            "symbols": ["a"],
+            "classes": [
+                [{"scalar": scalar, "mult": 1}, {"scalar": {keys[0]: {"a": "-1"}}, "mult": 1}],
+                [{"scalar": {keys[1]: "0"}, "mult": 2}],
+            ],
+        },
+    }
+    path = tmp_path / "scalar.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code, _, err = run(capsys, "analyze", "-i", str(path), "--json")
+    assert code == 2 and "bad spectrum" in err
+    payload["spectrum"]["classes"][0][0]["scalar"] = {keys[0]: {"a": "1"}}
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code, out, _ = run(capsys, "analyze", "-i", str(path), "--json")
+    assert code == 0 and json.loads(out)["genericity"]["global_condition"] is True
+
+
 def test_verify_singular_multiplicative_matrix_is_input_error(tmp_path, capsys):
     path = tmp_path / "singular.json"
     path.write_text(

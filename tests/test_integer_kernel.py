@@ -135,7 +135,8 @@ def word_span_rank(mats):
 def test_is_irreducible_matches_word_span(seed, count, structure):
     rng = random.Random(300 + seed)
     mats = seeded_tuple(rng, 2, count, structure)
-    t = MatrixTuple("additive", mats, [[0, 0]] * count)
+    # I generates nothing new in a unital algebra; it makes count 1 a valid tuple
+    t = MatrixTuple("additive", [*mats, RatMatrix.identity(2)], [[0, 0]] * (count + 1))
     span = word_span_rank(mats)
     assert tl.is_irreducible(t) == (span == 4)
     if structure == "triangular":

@@ -60,11 +60,13 @@ def test_expected_dim_examples():
 
 
 def test_classify_rigidity():
-    assert rd.classify_rigidity(j_star()).kind is rd.RigidityKind.RIGID
-    assert rd.classify_rigidity(zero_index_22()).kind is rd.RigidityKind.ZERO_INDEX
-    assert rd.classify_rigidity(JnfTuple([Jnf.diagonal([2, 1])] * 4)).kind is rd.RigidityKind.RIGID
+    assert rd.classify_rigidity(j_star()) == "rigid"
+    assert rd.classify_rigidity(zero_index_22()) == "zero_index"
+    assert rd.classify_rigidity(JnfTuple([Jnf.diagonal([2, 1])] * 4)) == "rigid"
     five = JnfTuple([Jnf.diagonal([1, 1])] * 5)
-    assert rd.classify_rigidity(five) == rd.Rigidity(rd.RigidityKind.NEGATIVE_INDEX, -2)
+    assert rd.kappa(five) == -2 and rd.classify_rigidity(five) == "negative_index"
+    two = JnfTuple([Jnf.diagonal([1, 1])] * 2)
+    assert rd.kappa(two) == 4 and rd.classify_rigidity(two) == "other"
 
 
 def test_reduce_step_hand_trace():

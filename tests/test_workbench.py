@@ -216,7 +216,6 @@ def test_every_corpus_operation_is_named_by_an_expectation():
         (type(fixture.target(e.target)), e.operation)
         for fixture in wb.builtin_corpus()
         for e in fixture.expectations
-        if e.operation != "triangular_space_dim"  # dispatched before the table
     }
     assert defined - named == set()
 
