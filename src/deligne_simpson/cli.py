@@ -68,6 +68,10 @@ def _parse_analyze_input(data: dict) -> tuple[rd.JnfTuple, sp.SpectrumAssignment
             raise InputError(f"spectrum size {spectrum.n} does not match JNF size {tup.n}")
         if len(spectrum.classes) != len(tup.jnfs):
             raise InputError("spectrum and JNF tuple have different class counts")
+        for i, (cls_, jnf) in enumerate(zip(spectrum.classes, tup.jnfs), 1):
+            mults = jnf.multiplicities()
+            if tuple(sorted((mult for _, mult in cls_), reverse=True)) != mults:
+                raise InputError(f"class {i}: spectrum multiplicities do not match the JNF's {mults}")
     return tup, spectrum
 
 

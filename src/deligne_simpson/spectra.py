@@ -18,7 +18,9 @@ this the module decides, exactly:
   per class, whose combined scalar is the identity;
 * the basic relation obtained from q = gcd of all multiplicities, and its
   repetition corollaries;
-* the verdicts generic / relatively generic / non-generic.
+* the verdicts generic / relatively generic / non-generic.  A spectrum is
+  relatively generic when every relation is proportional: it takes size/n
+  of every multiplicity, which makes it a repetition of the basic relation.
 
 The caller declares multiplicative relations between inputs by encoding
 them in the exponent vectors (e.g. 1/3 is exponent -1 on symbol "3");
@@ -53,10 +55,6 @@ class MixedModesError(SpectraError):
 
 
 class GlobalConditionViolatedError(SpectraError):
-    pass
-
-
-class InternalConsistencyError(SpectraError):
     pass
 
 
@@ -264,8 +262,7 @@ class BasicRelation:
     of all eigenvalues with multiplicities divided by q is a root of unity
     exp(2 pi i l / q), recorded via root_phase = l/q, and m = gcd(l, q); the
     relation (multiplicities divided by m) exists iff m > 1.  In additive
-    mode the relation exists iff the q-divided sum is 0, and m is reported
-    as q in that case and 1 otherwise.
+    mode the q-divided sum is the global sum over q, which is 0, so m = q.
     """
 
     q: int
@@ -311,14 +308,7 @@ def global_condition(s: SpectrumAssignment) -> bool:
 
 def _count_vectors(mults: Sequence[int], size: int):
     """All ways to pick a sub-multiset of the given size, as count vectors."""
-    if not mults:
-        if size == 0:
-            yield ()
-        return
-    first = mults[0]
-    for c in range(min(first, size), -1, -1):
-        for rest in _count_vectors(mults[1:], size - c):
-            yield (c,) + rest
+    return (c for c in itertools.product(*(range(k + 1) for k in mults)) if sum(c) == size)
 
 
 def enumerate_relations(s: SpectrumAssignment, m: int) -> tuple[RelationWitness, ...]:
@@ -357,50 +347,35 @@ def _require_global(s: SpectrumAssignment) -> None:
         )
 
 
-def _scaled_full_witness(s: SpectrumAssignment, num: int, den: int) -> RelationWitness:
-    parts = []
-    for cls_ in s.classes:
-        chosen = []
-        for scalar, mult in cls_:
-            scaled = Fraction(mult * num, den)
-            if scaled.denominator != 1:
-                raise InternalConsistencyError("non-integral scaled multiplicity")
-            if scaled:
-                chosen.append((scalar, int(scaled)))
-        parts.append(tuple(chosen))
-    return RelationWitness(s.n * num // den, tuple(parts))
-
-
 def basic_relation(s: SpectrumAssignment) -> BasicRelation | None:
     """The relation derived from q = gcd of all multiplicities; None if q = 1."""
     _require_global(s)
     q = math.gcd(*s.multiplicities())
     if q == 1:
         return None
-    scaled = combine(((scalar, Fraction(mult, q)) for cls_ in s.classes for scalar, mult in cls_), s.mode)
-    if s.mode == MULTIPLICATIVE:
-        # q-th power of the scaled product is the global product = 1, so the
-        # exponent vector must vanish and the phase must be a multiple of 1/q.
-        if scaled.terms:
-            raise InternalConsistencyError("root of unity with nonzero exponents")
-        phase = scaled.offset
-        if (phase * q) % 1 != 0:
-            raise InternalConsistencyError("root of unity of wrong order")
-        l = int(phase * q)
-        m = math.gcd(l, q) if l else q
-        relation = _scaled_full_witness(s, 1, m) if m > 1 else None
-        return BasicRelation(q=q, m=m, root_phase=phase, relation=relation)
-    if scaled.is_identity():
-        return BasicRelation(q=q, m=q, root_phase=None, relation=_scaled_full_witness(s, 1, q))
-    return BasicRelation(q=q, m=1, root_phase=None, relation=None)
+    if s.mode == ADDITIVE:
+        phase, m = None, q  # the q-divided sum is the global sum over q, which is 0
+    else:
+        # The q-th power of the q-divided product is the global product 1,
+        # so it has no symbol left and q times its phase is an integer.
+        pairs = ((scalar, Fraction(mult, q)) for cls_ in s.classes for scalar, mult in cls_)
+        phase = combine(pairs, s.mode).offset
+        m = math.gcd(int(phase * q), q)
+    # m divides q, which divides every multiplicity
+    parts = tuple(tuple((scalar, mult // m) for scalar, mult in cls_) for cls_ in s.classes)
+    relation = RelationWitness(s.n // m, parts) if m > 1 else None
+    return BasicRelation(q=q, m=m, root_phase=phase, relation=relation)
 
 
-def _corollary_keys(s: SpectrumAssignment, basic: BasicRelation) -> set:
-    """Keys of the basic relation and its repetitions t/m (resp. t/q), t = 1..m-1."""
-    if basic.relation is None:
-        return set()
-    den = basic.m if s.mode == MULTIPLICATIVE else basic.q
-    return {_scaled_full_witness(s, t, den).key() for t in range(1, den)}
+def _is_proportional(s: SpectrumAssignment, w: RelationWitness) -> bool:
+    """Whether w takes size/n of every multiplicity of every class, which
+    makes it a repetition t/m of the basic relation."""
+    share = Fraction(w.size, s.n)
+    return all(
+        counts.get(scalar, 0) == mult * share
+        for cls_, counts in zip(s.classes, map(dict, w.parts))
+        for scalar, mult in cls_
+    )
 
 
 def is_generic(s: SpectrumAssignment) -> GenericityReport:
@@ -415,16 +390,12 @@ def classify(s: SpectrumAssignment) -> GenericityReport:
     """Three-way verdict: generic / relatively generic (only the basic
     relation and its corollaries hold) / non-generic with the offending
     witnesses."""
-    _require_global(s)
+    basic = basic_relation(s)  # checks the global condition before any enumeration
     witnesses = all_relations(s)
-    basic = basic_relation(s)
     if not witnesses:
         return GenericityReport(GENERIC, witnesses, basic, ())
-    corollaries = _corollary_keys(s, basic) if basic else set()
-    offenders = tuple(w for w in witnesses if w.key() not in corollaries)
-    if offenders:
-        return GenericityReport(NON_GENERIC, witnesses, basic, offenders)
-    return GenericityReport(RELATIVELY_GENERIC, witnesses, basic, ())
+    offenders = tuple(w for w in witnesses if not _is_proportional(s, w))
+    return GenericityReport(NON_GENERIC if offenders else RELATIVELY_GENERIC, witnesses, basic, offenders)
 
 
 def exp_map(s: SpectrumAssignment) -> SpectrumAssignment:
@@ -441,10 +412,6 @@ def exp_map(s: SpectrumAssignment) -> SpectrumAssignment:
                 {f"exp_{sym}": c for sym, c in scalar.terms}, scalar.offset % 1
             )
             # exp collapses integer differences, so images may coincide
-            if image.key() in merged:
-                prev, count = merged[image.key()]
-                merged[image.key()] = (prev, count + mult)
-            else:
-                merged[image.key()] = (image, mult)
-        classes.append(list(merged.values()))
+            merged[image] = merged.get(image, 0) + mult
+        classes.append(list(merged.items()))
     return SpectrumAssignment(classes, s.n)

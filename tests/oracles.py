@@ -62,3 +62,20 @@ def commutation_system(m: list[list[Fraction]]) -> list[list[Fraction]]:
                 row[i * n + k] -= m[k][j]
             rows.append(row)
     return rows
+
+
+def scaled_full_witnesses(s, den: int) -> set:
+    """The whole spectrum scaled by t/den for t = 1..den-1, each as
+    (size, parts) with the parts of a ``RelationWitness``.  With den the
+    basic relation's m (multiplicative) or q (additive) these are the
+    basic relation and its repetitions; every multiplicity must be a
+    multiple of den."""
+    out = set()
+    for t in range(1, den):
+        parts = []
+        for cls_ in s.classes:
+            scaled = [(scalar, Fraction(mult * t, den)) for scalar, mult in cls_]
+            assert all(c.denominator == 1 for _, c in scaled), "den must divide every multiplicity"
+            parts.append(tuple((scalar, int(c)) for scalar, c in scaled if c))
+        out.add((s.n * t // den, tuple(parts)))
+    return out

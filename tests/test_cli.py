@@ -130,6 +130,24 @@ def test_analyze_malformed_inputs(tmp_path, capsys):
         assert code == 2 and "bad spectrum" in err
 
 
+def test_analyze_spectrum_multiplicities_must_match_the_jnfs(tmp_path, capsys):
+    def pair(sym):
+        return [{"scalar": {"coefficients": {sym: c}, "constant": "0"}, "mult": 2} for c in (1, -1)]
+
+    payload = {
+        "jnfs": [{"multiplicities": [3, 1]}, {"multiplicities": [2, 2]}],
+        "spectrum": {"mode": "additive", "symbols": ["s", "t"], "classes": [pair("s"), pair("t")]},
+    }
+    path = tmp_path / "mults.json"
+    path.write_text(dumps(payload), encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "-i", str(path))
+    assert code == 2 and out == ""
+    assert "class 1: spectrum multiplicities do not match the JNF's (3, 1)" in err
+    payload["jnfs"][0] = {"multiplicities": [2, 2]}
+    path.write_text(dumps(payload), encoding="utf-8")
+    assert run(capsys, "analyze", "-i", str(path))[0] == 0
+
+
 @pytest.mark.parametrize("content", [
     b"[" * 200_000,
     b"\xff\xfe{}",

@@ -1,10 +1,13 @@
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deligne_simpson import spectra as sp
-from deligne_simpson.spectra import FormalScalar, SpectrumAssignment
+from deligne_simpson.spectra import ADDITIVE, MULTIPLICATIVE, FormalScalar, SpectrumAssignment
 from deligne_simpson.workbench import make_witness
+from oracles import scaled_full_witnesses
 
 S = FormalScalar.multiplicative
 A = FormalScalar.additive
@@ -199,3 +202,65 @@ def test_spectrum_validation():
         SpectrumAssignment([[(S({"a": 1}), 1), (S({"a": 1}), 1)]])  # duplicate scalar
     with pytest.raises(sp.MixedModesError):
         SpectrumAssignment([[(S({"a": 1}), 1), (A({"a": 1}), 1)]])
+
+
+@st.composite
+def global_spectra(draw, modes=(MULTIPLICATIVE, ADDITIVE)):
+    """Spectra of size n <= 6 that meet the global condition.  Eigenvalues
+    are drawn over three symbols with small coefficients and a few phases
+    or constants, so that relations are common; multiplicities share a
+    factor up to 3; the last eigenvalue is solved for."""
+    mode = draw(st.sampled_from(modes))
+    q = draw(st.integers(1, 3))
+    reduced = draw(st.integers(1, 6 // q))
+    terms = st.dictionaries(st.sampled_from("abc"), st.integers(-1, 1), max_size=3)
+    if mode == MULTIPLICATIVE:
+        scalars = st.builds(S, terms, st.sampled_from([0, F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4)]))
+    else:
+        scalars = st.builds(A, terms, st.sampled_from([-1, F(-1, 2), 0, F(1, 2), 1]))
+    classes = []
+    for _ in range(draw(st.integers(2, 3))):
+        mults, remaining = [], reduced
+        while remaining:
+            mults.append(draw(st.integers(1, remaining)))
+            remaining -= mults[-1]
+        classes.append([(draw(scalars), q * k) for k in mults])
+    *rest, (_, mu) = [e for cls_ in classes for e in cls_]
+    solved = sp.combine([(sp.combine(rest, mode), F(-1, mu))], mode)
+    if mode == MULTIPLICATIVE:  # any of the mu roots
+        solved = S(dict(solved.terms), solved.offset + F(draw(st.integers(0, mu - 1)), mu))
+    classes[-1][-1] = (solved, mu)
+    merged = []  # equal eigenvalues of one class add their multiplicities
+    for cls_ in classes:
+        counts = {}
+        for scalar, mult in cls_:
+            counts[scalar] = counts.get(scalar, 0) + mult
+        merged.append(list(counts.items()))
+    spectrum = SpectrumAssignment(merged)
+    assert sp.global_condition(spectrum)
+    return spectrum
+
+
+@settings(max_examples=200, deadline=None)
+@given(spectrum=global_spectra())
+def test_offenders_are_the_witnesses_outside_the_scaled_full_spectra(spectrum):
+    report = sp.classify(spectrum)
+    basic = report.basic
+    den = 0
+    if basic is not None and basic.relation is not None:
+        den = basic.m if spectrum.mode == MULTIPLICATIVE else basic.q
+    corollaries = scaled_full_witnesses(spectrum, den)
+    assert report.offenders == tuple(w for w in report.witnesses if (w.size, w.parts) not in corollaries)
+    if report.witnesses:
+        assert report.verdict == ("non_generic" if report.offenders else "relatively_generic")
+
+
+@settings(max_examples=100, deadline=None)
+@given(spectrum=global_spectra(modes=(ADDITIVE,)))
+def test_additive_basic_relation_has_m_equal_to_q(spectrum):
+    basic = sp.basic_relation(spectrum)
+    q = math.gcd(*spectrum.multiplicities())
+    if q > 1:
+        assert basic.q == basic.m == q and basic.relation is not None
+    else:
+        assert basic is None
