@@ -29,9 +29,10 @@ from .jnf import Partition, capped
 from .workbench import builtin_corpus, run_corpus
 from .workbench.export import dumps
 
-# Relation enumeration is exponential in n; past this size the CLI reports
-# genericity as skipped rather than stalling.
-GENERICITY_SIZE_CAP = 12
+# The relation search combines, and writes, one part per class for each of
+# its choices, so its work grows as choices times classes; past this many
+# such steps the CLI reports genericity as skipped rather than stalling.
+GENERICITY_BUDGET = 25_000
 
 
 class InputError(Exception):
@@ -76,13 +77,10 @@ def _parse_analyze_input(data: dict) -> tuple[rd.JnfTuple, sp.SpectrumAssignment
 
 
 def _genericity_payload(spectrum: sp.SpectrumAssignment) -> dict:
-    if spectrum.n > GENERICITY_SIZE_CAP:
-        print(
-            f"warning: spectrum size {spectrum.n} exceeds {GENERICITY_SIZE_CAP};"
-            " skipping relation enumeration",
-            file=sys.stderr,
-        )
-        return {"skipped": f"n > {GENERICITY_SIZE_CAP}"}
+    limit = GENERICITY_BUDGET // len(spectrum.classes)  # choices * classes <= budget exactly when choices <= limit
+    if sp.relation_choices(spectrum, limit + 1) > limit:
+        print(f"warning: more than {GENERICITY_BUDGET} combination steps; skipping relation enumeration", file=sys.stderr)
+        return {"skipped": f"more than {GENERICITY_BUDGET} combination steps"}
     if not sp.global_condition(spectrum):
         return {"global_condition": False}
     report = sp.classify(spectrum)

@@ -6,16 +6,15 @@ kernel, ``IntEchelon``: an incremental fraction-free echelon over the
 integers (after Bareiss, Math. Comp. 22, 1968), fed rows whose denominators
 have been cleared by scaling (``integer_matrix``).  Scaling a row, or a whole
 operator block, by a nonzero integer changes no rank.  The reduced row
-echelon form behind ``rref``, nullspace bases, inverses and solutions is the
-same echelon basis followed by a fraction-free back-substitution.
+echelon form behind ``rref``, nullspace bases and solutions (an inverse
+solves m X = I) is the same echelon basis followed by a fraction-free
+back-substitution.  Every matrix product, dense or integer, is ``matmul_rows``.
 
 Vectorization convention: an n x n matrix X maps to the length n**2 vector
-vec(X) listing entries row by row (row-major).  All operator matrices here
-share this ordering.  The intertwiner map X -> AX - XB, and with it the
-commutator map, is written down entry by entry in O(n^4)
-(``intertwiner_rows``) rather than assembled from the dense left and right
-multiplication operators, which remain for the prefix and suffix products
-of the corner differential (``tuple_lab.corner_differential``).
+vec(X) listing entries row by row (row-major).  Every operator matrix comes
+from one writer, ``intertwiner_rows``: X -> AX - XB written down entry by
+entry in O(n^4).  The commutator map is its case A = B, left and right
+multiplication by A its cases B = 0 and (0, -A).
 
 Serialization: rationals are strings "p/q" or "p" with the sign on the
 numerator; matrices are JSON arrays of arrays of such strings.  ``rat``,
@@ -25,6 +24,7 @@ numerator; matrices are JSON arrays of arrays of such strings.  ``rat``,
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -197,16 +197,16 @@ class RatMatrix:
         return cls.from_rows([[rat(x) for x in json_list(row, "matrix row")] for row in rows])
 
 
+def matmul_rows(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
+    """Rows of a @ b for row lists of ints or Fractions; keeps their type."""
+    bcols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in bcols] for row in a]
+
+
 def matmul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     if a.cols != b.rows:
         raise ShapeMismatchError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    bcols = [b.col(j) for j in range(b.cols)]
-    out = []
-    for i in range(a.rows):
-        arow = a.row(i)
-        for bc in bcols:
-            out.append(sum((x * y for x, y in zip(arow, bc)), Fraction(0)))
-    return RatMatrix(a.rows, b.cols, out)
+    return RatMatrix.from_rows(matmul_rows(a.row_lists(), b.row_lists()))
 
 
 def product(matrices: Sequence[RatMatrix]) -> RatMatrix:
@@ -381,14 +381,13 @@ def nullity(m: RatMatrix) -> int:
 
 
 def inverse(m: RatMatrix) -> RatMatrix:
+    """The solution of m X = I, which is inconsistent when m is singular."""
     if m.rows != m.cols:
         raise ShapeMismatchError("inverse needs a square matrix")
-    n = m.rows
-    aug = [list(m.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    rows, pivots = _reduced_echelon(aug)
-    if pivots != list(range(n)):
-        raise SingularMatrixError("matrix is singular")
-    return RatMatrix.from_rows([r[n:] for r in rows])
+    try:
+        return solve(m, RatMatrix.identity(m.rows))
+    except NoSolutionError:
+        raise SingularMatrixError("matrix is singular") from None
 
 
 def solve(a: RatMatrix, b: RatMatrix) -> RatMatrix:
@@ -406,32 +405,6 @@ def solve(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     return RatMatrix.from_rows(out)
 
 
-def left_mul_matrix(a: RatMatrix) -> RatMatrix:
-    """Matrix L with L . vec(X) = vec(A X), for X of size a.cols x a.cols."""
-    if a.rows != a.cols:
-        raise ShapeMismatchError("left multiplication operator needs a square matrix")
-    n = a.rows
-    out = [[Fraction(0)] * (n * n) for _ in range(n * n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                out[i * n + j][k * n + j] = a[i, k]
-    return RatMatrix.from_rows(out)
-
-
-def right_mul_matrix(a: RatMatrix) -> RatMatrix:
-    """Matrix R with R . vec(X) = vec(X A)."""
-    if a.rows != a.cols:
-        raise ShapeMismatchError("right multiplication operator needs a square matrix")
-    n = a.rows
-    out = [[Fraction(0)] * (n * n) for _ in range(n * n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                out[i * n + j][i * n + k] = a[k, j]
-    return RatMatrix.from_rows(out)
-
-
 def intertwiner_rows(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
     """The n^2 x n^2 rows of X -> aX - Xb under row-major vec, written entry
     by entry: (aX - Xb)_ij = sum_k a_ik X_kj - X_ik b_kj.  Works for int or
@@ -439,11 +412,12 @@ def intertwiner_rows(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]
     n = len(a)
     if len(b) != n or any(len(r) != n for r in (*a, *b)):
         raise ShapeMismatchError("intertwiner map needs two square matrices of one size")
+    zero = a[0][0] * 0  # an int or Fraction zero, so no entry needs coercing later
     rows = []
     for i in range(n):
         ai = a[i]
         for j in range(n):
-            row = [0] * (n * n)
+            row = [zero] * (n * n)
             for k in range(n):
                 row[k * n + j] += ai[k]
                 row[i * n + k] -= b[k][j]
@@ -459,7 +433,21 @@ def integer_intertwiner_rows(a: RatMatrix, b: RatMatrix) -> list[list[int]]:
     return intertwiner_rows(integer_matrix(a, scale), integer_matrix(b, scale))
 
 
+def intertwiner_matrix(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """The n^2 x n^2 matrix of X -> aX - Xb under row-major vec."""
+    return RatMatrix.from_rows(intertwiner_rows(a.row_lists(), b.row_lists()))
+
+
+def left_mul_matrix(a: RatMatrix) -> RatMatrix:
+    """Matrix L with L . vec(X) = vec(A X), for X of size a.cols x a.cols."""
+    return intertwiner_matrix(a, RatMatrix.zero(a.rows, a.rows))
+
+
+def right_mul_matrix(a: RatMatrix) -> RatMatrix:
+    """Matrix R with R . vec(X) = vec(X A)."""
+    return intertwiner_matrix(RatMatrix.zero(a.rows, a.rows), -a)
+
+
 def vectorize_commutator_map(m: RatMatrix) -> RatMatrix:
     """The n^2 x n^2 matrix of X -> [m, X] = mX - Xm under row-major vec."""
-    rows = m.row_lists()
-    return RatMatrix.from_rows(intertwiner_rows(rows, rows))
+    return intertwiner_matrix(m, m)

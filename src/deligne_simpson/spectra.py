@@ -307,8 +307,16 @@ def global_condition(s: SpectrumAssignment) -> bool:
 
 
 def _count_vectors(mults: Sequence[int], size: int):
-    """All ways to pick a sub-multiset of the given size, as count vectors."""
-    return (c for c in itertools.product(*(range(k + 1) for k in mults)) if sum(c) == size)
+    """All ways to pick a sub-multiset of the given size, as count vectors in
+    lexicographic order; no branch is entered that cannot reach the size."""
+    if not mults:
+        if size == 0:
+            yield ()
+        return
+    rest = sum(mults[1:])
+    for c in range(max(0, size - rest), min(mults[0], size) + 1):
+        for tail in _count_vectors(mults[1:], size - c):
+            yield (c, *tail)
 
 
 def enumerate_relations(s: SpectrumAssignment, m: int) -> tuple[RelationWitness, ...]:
@@ -331,6 +339,29 @@ def enumerate_relations(s: SpectrumAssignment, m: int) -> tuple[RelationWitness,
         if total.is_identity():
             witnesses.append(RelationWitness(m, tuple(chosen for chosen, _ in combo)))
     return tuple(sorted(witnesses, key=RelationWitness.key))
+
+
+def relation_choices(s: SpectrumAssignment, cap: int) -> int:
+    """min(cap, the number of choices ``all_relations`` tries): the sum over
+    sizes 1 <= m < n of the product over classes of their size-m choices.
+    A class's choices summed over m, prod_i (mult_i + 1) - 2, bound that
+    number from below; they are checked first, so no class with cap or more
+    choices is enumerated, and the count stops once it reaches cap."""
+    for cls_ in s.classes:
+        bound = 1
+        for _, mult in cls_:
+            bound = min(bound * (mult + 1), cap + 2)
+        if bound - 2 >= cap:
+            return cap
+    total = 0
+    for m in range(1, s.n):
+        term = 1
+        for cls_ in s.classes:
+            term *= sum(1 for _ in _count_vectors([mult for _, mult in cls_], m))
+        total += term
+        if total >= cap:
+            return cap
+    return total
 
 
 def all_relations(s: SpectrumAssignment) -> tuple[RelationWitness, ...]:

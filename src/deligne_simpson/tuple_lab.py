@@ -140,11 +140,6 @@ def verify_closure(t: MatrixTuple) -> bool:
     return total.is_zero()
 
 
-def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    bcols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bcols] for row in a]
-
-
 def jnf_of(m: RatMatrix, eigenvalues: Sequence[int | str | Fraction]) -> Jnf:
     """Jordan normal form of m, given its eigenvalues with multiplicities.
 
@@ -178,7 +173,7 @@ def jnf_of(m: RatMatrix, eigenvalues: Sequence[int | str | Fraction]) -> Jnf:
             prev = r
             if r == 0:
                 break
-            power = _int_matmul(power, shifted)
+            power = xl.matmul_rows(power, shifted)
         if not counts:
             raise WrongSpectrumError(f"{lam} is not an eigenvalue")
         if sum(counts) != claimed[lam]:
@@ -247,27 +242,22 @@ def commut_surjective(t: MatrixTuple) -> bool:
 
 def is_irreducible(t: MatrixTuple) -> bool:
     """Burnside criterion: the unital algebra generated by the matrices has
-    dimension n^2.  The span is closed by repeatedly multiplying the current
-    basis by the generators; starting from I that reaches every word.
-    Generators are scaled to integers, which changes no span."""
+    dimension n^2.  The span starts from I; each basis row is read once as
+    an n x n matrix and its products with every generator join the span.
+    Once every row is read the span is closed under right multiplication by
+    the generators: it is the algebra.  Integer scaling changes no span."""
     n = t.n
     target = n * n
     generators = [xl.integer_matrix(m) for m in t.matrices]
     basis = xl.IntEchelon()
-    frontier = [[[int(i == j) for j in range(n)] for i in range(n)]] + generators
-    for m in frontier:
-        basis.add(x for row in m for x in row)
-    # Each round that finds a new product grows the basis, so this ends.
-    while frontier and len(basis) < target:
-        new_frontier = []
-        for m in frontier:
-            for g in generators:
-                prod = _int_matmul(m, g)
-                if basis.add(x for row in prod for x in row):
-                    if len(basis) == target:
-                        return True
-                    new_frontier.append(prod)
-        frontier = new_frontier
+    basis.add(int(i == j) for i in range(n) for j in range(n))
+    read = 0
+    while read < len(basis) < target:
+        row = basis.rows[read]
+        m = [row[i * n : (i + 1) * n] for i in range(n)]
+        for g in generators:
+            basis.add(x for prod_row in xl.matmul_rows(m, g) for x in prod_row)
+        read += 1
     return len(basis) == target
 
 
@@ -280,14 +270,11 @@ def corner_differential(ls: Sequence[RatMatrix], bs: Sequence[RatMatrix], mode: 
     changes when T_j = L_j Y_j - Y_j B_j.  With L = B = M it is the
     differential of the product (resp. sum) along the conjugacy classes,
     up to a sign that changes no rank.  One column block per j: the map
-    Y -> L_j Y - Y B_j written down entry by entry (``intertwiner_rows``),
+    Y -> L_j Y - Y B_j written down entry by entry (``intertwiner_matrix``),
     then in multiplicative mode multiplied by the dense left and right
     multiplication operators of the prefix and suffix products.
     """
-    blocks = (
-        RatMatrix.from_rows(xl.intertwiner_rows(l.row_lists(), b.row_lists()))
-        for l, b in zip(ls, bs, strict=True)
-    )
+    blocks = (xl.intertwiner_matrix(l, b) for l, b in zip(ls, bs, strict=True))
     if mode == MULTIPLICATIVE:
         identity = RatMatrix.identity(ls[0].rows)
         # prefixes[j] = L_1...L_{j-1} and suffixes[j] = B_{j+1}...B_k, as running products

@@ -226,20 +226,15 @@ def _blocks(column: RatMatrix, n: int) -> list[RatMatrix]:
     return [RatMatrix(n, n, column.entries[k : k + size]) for k in range(0, column.rows, size)]
 
 
-DEFAULT_NILPOTENT = RatMatrix.from_rows([[0, 1], [0, 0]])
-
-
-def build_semidirect_point(rigid: MatrixTuple, r4: RatMatrix | None = None) -> MatrixTuple:
+def build_semidirect_point(rigid: MatrixTuple) -> MatrixTuple:
     """Block upper-triangular 4x4 quadruple [[N_j, R_j], [0, N_j]] with
-    R_j = [N_j, Z_j] for j = 1..3 and the given rank-1 nilpotent R_4.
+    R_j = [N_j, Z_j] for j = 1..3 and the rank-1 nilpotent R_4 = E_12.
 
     The upper-right block of the product condition is linear in the Z_j;
     it is solvable because the triple N_1, N_2, N_3 is irreducible, so the
     summed commutator map is onto the trace-zero matrices.
     """
-    if r4 is None:
-        r4 = DEFAULT_NILPOTENT
-    _check(r4.trace() == 0 and xl.rank(r4) == 1, "r4 must be nilpotent of rank 1")
+    r4 = RatMatrix.from_rows([[0, 1], [0, 0]])
     ns = list(rigid.matrices[:3])
     _check(rigid.matrices[3] == RatMatrix.identity(2).scale(-1), "rigid quadruple must end with -I")
     # The upper-right block of the product is

@@ -1,9 +1,9 @@
 """Independent oracles for expected-value tests.
 
 Nothing here goes through the package's elimination routines: rank comes
-from enumerating minors with a cofactor determinant, and matrix products
-are computed entrywise.  Slow, but exact and structurally unrelated to the
-code paths under test.
+from enumerating minors with a cofactor determinant or from a plain
+Fraction echelon, and matrix products are computed entrywise.  Slow, but
+exact and structurally unrelated to the code paths under test.
 """
 
 from __future__ import annotations
@@ -49,19 +49,52 @@ def entrywise_product(mats: list[list[list[Fraction]]]) -> list[list[Fraction]]:
     return acc
 
 
-def commutation_system(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    """The n^2 x n^2 system for [m, X] = 0 built directly from the entry
-    formula (mX - Xm)_{ij} = sum_k m_ik X_kj - X_ik m_kj, row-major X."""
-    n = len(m)
+def intertwiner_system(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
+    """The n^2 x n^2 matrix of X -> aX - Xb built directly from the entry
+    formula (aX - Xb)_{ij} = sum_k a_ik X_kj - X_ik b_kj, row-major X."""
+    n = len(a)
     rows = []
     for i in range(n):
         for j in range(n):
             row = [Fraction(0)] * (n * n)
             for k in range(n):
-                row[k * n + j] += m[i][k]
-                row[i * n + k] -= m[k][j]
+                row[k * n + j] += a[i][k]
+                row[i * n + k] -= b[k][j]
             rows.append(row)
     return rows
+
+
+def commutation_system(m: list[list[Fraction]]) -> list[list[Fraction]]:
+    """The n^2 x n^2 system for [m, X] = 0, row-major X."""
+    return intertwiner_system(m, m)
+
+
+def _insert(basis: dict[int, list[Fraction]], v: list[Fraction]) -> bool:
+    """Reduce v against the stored rows (pivot column -> row with 1 there,
+    zero at the pivots stored before it) and store what is left, if any."""
+    for c, row in basis.items():
+        if v[c]:
+            f = v[c]
+            v = [x - f * y for x, y in zip(v, row)]
+    lead = next((i for i, x in enumerate(v) if x), None)
+    if lead is None:
+        return False
+    basis[lead] = [x / v[lead] for x in v]
+    return True
+
+
+def frontier_algebra_dim(mats: list[list[list[Fraction]]]) -> int:
+    """Dimension of the unital algebra generated by square matrices: start
+    from I and the generators, multiply each product found new in the last
+    round by every generator, and stop when a round finds nothing new."""
+    n = len(mats[0])
+    identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    basis: dict[int, list[Fraction]] = {}
+    frontier = [m for m in [identity, *mats] if _insert(basis, [x for row in m for x in row])]
+    while frontier:
+        products = (entrywise_product([m, g]) for m in frontier for g in mats)
+        frontier = [p for p in products if _insert(basis, [x for row in p for x in row])]
+    return len(basis)
 
 
 def scaled_full_witnesses(s, den: int) -> set:

@@ -1,6 +1,9 @@
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -11,12 +14,13 @@ from hypothesis import given, settings, strategies as st
 from deligne_simpson import reduction as rd
 from deligne_simpson import spectra as sp
 from deligne_simpson import tuple_lab as tl
-from deligne_simpson.cli import main
+from deligne_simpson.cli import GENERICITY_BUDGET, main
 from deligne_simpson.jnf import SIZE_CAP
 from deligne_simpson.workbench import fixture_by_name
 from deligne_simpson.workbench.export import dumps
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -327,22 +331,62 @@ def test_analyze_eigenvalue_label_that_is_not_a_string_is_input_error(tmp_path, 
     assert code == 2 and "bad JNF tuple" in err
 
 
-def test_analyze_skips_oversized_spectra(tmp_path, capsys):
-    n = 14
-    payload = {
-        "jnfs": [{"multiplicities": [n]}] * 2,
+def scalar_classes_input(n: int, count: int) -> dict:
+    """count classes of size n, each one eigenvalue 1 of multiplicity n."""
+    return {
+        "jnfs": [{"multiplicities": [n]}] * count,
         "spectrum": {
             "mode": "multiplicative",
             "symbols": [],
-            "classes": [[{"scalar": {"exponents": {}, "phase": "0"}, "mult": n}]] * 2,
+            "classes": [[{"scalar": {"exponents": {}, "phase": "0"}, "mult": n}]] * count,
         },
     }
-    path = tmp_path / "big.json"
-    path.write_text(dumps(payload), encoding="utf-8")
+
+
+def test_analyze_searches_a_large_spectrum_with_few_combinations(tmp_path, capsys):
+    # n = 14 but one eigenvalue per class: one choice per size, 13 in all
+    path = tmp_path / "n14.json"
+    path.write_text(dumps(scalar_classes_input(14, 2)), encoding="utf-8")
     code, out, err = run(capsys, "analyze", "-i", str(path), "--json")
-    assert code == 0
-    assert json.loads(out)["genericity"] == {"skipped": "n > 12"}
-    assert "skipping relation enumeration" in err
+    assert code == 0 and err == ""
+    genericity = json.loads(out)["genericity"]
+    assert genericity["verdict"] == "relatively_generic"
+    assert [w["size"] for w in genericity["witnesses"]] == list(range(1, 14))
+
+
+def test_analyze_skips_oversized_spectra(tmp_path):
+    # 22 classes {a_j, 1/a_j} at n = 2: 2**22 combinations of size 1, which
+    # an unbudgeted search takes minutes to walk
+    classes = [
+        [{"scalar": {"exponents": {f"a{j}": e}, "phase": "0"}, "mult": 1} for e in ("1", "-1")]
+        for j in range(22)
+    ]
+    payload = {"jnfs": [{"multiplicities": [1, 1]}] * 22, "spectrum": {"mode": "multiplicative", "classes": classes}}
+    path = tmp_path / "pairs.json"
+    path.write_text(dumps(payload), encoding="utf-8")
+    assert sp.relation_choices(sp.SpectrumAssignment.from_json(payload["spectrum"]), 2**23) == 2**22
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "deligne_simpson", "analyze", "-i", str(path), "--json"],
+        capture_output=True, text=True, timeout=20, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["genericity"] == {"skipped": f"more than {GENERICITY_BUDGET} combination steps"}
+    assert "skipping relation enumeration" in proc.stderr
+
+
+# Two classes at the size cap; 300 classes at n = 1000, whose 999
+# combinations each combine and write 300 parts.
+@pytest.mark.parametrize("n,count", [(SIZE_CAP, 2), (1000, 300)])
+def test_analyze_skips_large_scalar_spectra_quickly(tmp_path, capsys, n, count):
+    path = tmp_path / "big.json"
+    path.write_text(dumps(scalar_classes_input(n, count)), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", "-i", str(path), "--json")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and "skipping relation enumeration" in err
+    assert json.loads(out)["genericity"] == {"skipped": f"more than {GENERICITY_BUDGET} combination steps"}
 
 
 def test_verify_example4(capsys):

@@ -3,11 +3,12 @@
 The centralizer, commutator-map and intertwiner checks write their
 operators down entry by entry over the integers, scaling each matrix (or
 each pair of matrices) to clear denominators.  Here they are compared with
-the dense operator construction left_mul_matrix - right_mul_matrix over
-Fraction, and the Burnside closure with the span of every word of length
-at most n^2, ranked by cofactor minors.  The seeded tuples give each matrix
-its own non-integer denominators, so a scale chosen for the wrong set of
-matrices changes the answer.
+the operator written from its entry formula over Fraction
+(``oracles.intertwiner_system``), and the Burnside closure with the span of
+every word of length at most n^2, ranked by cofactor minors, and with the
+frontier closure over a Fraction echelon (``oracles.frontier_algebra_dim``).
+The seeded tuples give each matrix its own non-integer denominators, so a
+scale chosen for the wrong set of matrices changes the answer.
 """
 
 import itertools
@@ -23,7 +24,7 @@ from deligne_simpson.tuple_lab import MatrixTuple
 from deligne_simpson.workbench import hom_dim
 
 from conftest import random_invertible
-from oracles import commutation_system, entrywise_product, minor_rank
+from oracles import entrywise_product, frontier_algebra_dim, intertwiner_system, minor_rank
 
 DENOMINATORS = (2, 3, 5, 7, 11)
 
@@ -61,8 +62,8 @@ def seeded_tuple(rng, n, count, structure):
     return conjugate_all(mats, g)
 
 
-def dense_commutator_blocks(mats):
-    return [xl.left_mul_matrix(m) - xl.right_mul_matrix(m) for m in mats]
+def oracle_intertwiner(a, b):
+    return RatMatrix.from_rows(intertwiner_system(a.row_lists(), b.row_lists()))
 
 
 CASES = [
@@ -80,13 +81,13 @@ CASES = [
 def test_centralizer_and_commutator_map_match_dense_operators(seed, n, count, structure):
     rng = random.Random(100 + seed)
     mats = seeded_tuple(rng, n, count, structure)
-    dense = dense_commutator_blocks(mats)
+    system = [oracle_intertwiner(m, m) for m in mats]
     cdim = tl.centralizer_dim_of(mats)
-    assert cdim == xl.nullity(xl.vstack(dense))
+    assert cdim == xl.nullity(xl.vstack(system))
     if structure == "direct_sum":
         assert cdim >= 2
     t = MatrixTuple("additive", mats, [[0] * n] * count)
-    assert tl.commut_surjective(t) == (xl.rank(xl.hstack(dense)) == n * n - 1)
+    assert tl.commut_surjective(t) == (xl.rank(xl.hstack(system)) == n * n - 1)
     assert tl.commut_surjective(t) == (cdim == 1)
     assert tl.report(t)["commutator_map_surjective"] == tl.commut_surjective(t)
 
@@ -98,13 +99,13 @@ def test_hom_dim_uses_one_scale_per_pair(seed, n, count):
     g = random_invertible(rng, n).scale(F(1, rng.choice([13, 17, 19])))
     b = conjugate_all(a, xl.inverse(g))  # b_j = g^-1 a_j g, so Y = Z g intertwines
     assert any(xl.denominator_lcm([x]) != xl.denominator_lcm([y]) for x, y in zip(a, b))
-    dense = xl.vstack([xl.left_mul_matrix(x) - xl.right_mul_matrix(y) for x, y in zip(a, b)])
+    system = xl.vstack([oracle_intertwiner(x, y) for x, y in zip(a, b)])
     got = hom_dim(a, b)
-    assert got == xl.nullity(dense)
+    assert got == xl.nullity(system)
     assert got == tl.centralizer_dim_of(a) >= 1
     other = seeded_tuple(rng, n, count, "generic")
-    dense = xl.vstack([xl.left_mul_matrix(x) - xl.right_mul_matrix(y) for x, y in zip(a, other)])
-    assert hom_dim(a, other) == xl.nullity(dense)
+    system = xl.vstack([oracle_intertwiner(x, y) for x, y in zip(a, other)])
+    assert hom_dim(a, other) == xl.nullity(system)
 
 
 def word_span_rank(mats):
@@ -158,17 +159,59 @@ def test_is_irreducible_needs_words_of_length_three(seed):
     assert tl.is_irreducible(t)
 
 
+def invertible_shift(m):
+    """m + c I for the least c >= 0 that makes it invertible; a scalar shift
+    leaves the generated unital algebra as it is."""
+    c = 0
+    while xl.rank(m + RatMatrix.identity(m.rows).scale(c)) < m.rows:
+        c += 1
+    return m + RatMatrix.identity(m.rows).scale(c)
+
+
+@pytest.mark.parametrize("seed,n,structure,mode", [
+    (s, n, st, mode)
+    for s in range(2) for n in (2, 3, 4, 5)
+    for st in ("generic", "direct_sum", "triangular") for mode in ("additive", "multiplicative")
+])
+def test_is_irreducible_matches_frontier_closure(seed, n, structure, mode):
+    rng = random.Random(500 + 100 * seed + n)
+    count = rng.choice([2, 3])
+    mats = seeded_tuple(rng, n, count, structure)
+    if mode == "multiplicative":
+        mats = [invertible_shift(m) for m in mats]
+    t = MatrixTuple(mode, mats, [[1] * n] * count)
+    dim = frontier_algebra_dim([m.row_lists() for m in mats])
+    assert tl.is_irreducible(t) == (dim == n * n)
+    if structure != "generic":
+        assert dim < n * n
+
+
+def test_is_irreducible_when_the_basis_fills_inside_a_generator_loop():
+    # I times the first three generators already spans the 2x2 matrices, so
+    # the basis is full before the last generator of the first row's loop
+    rows = ([[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, 2]], [[1, 1], [1, 1]])
+    mats = [RatMatrix.from_rows(r) for r in rows]
+    assert frontier_algebra_dim([m.row_lists() for m in mats]) == 4
+    assert tl.is_irreducible(MatrixTuple("additive", mats, [[0, 0]] * 4))
+    assert not tl.is_irreducible(MatrixTuple("additive", [mats[0], mats[2]], [[0, 0]] * 2))
+
+
 def test_intertwiner_rows_match_dense_operators():
     rng = random.Random(7)
     for n in (1, 2, 3, 4):
         a, b = fraction_matrix(rng, n, 3), fraction_matrix(rng, n, 5)
         rows = xl.intertwiner_rows(a.row_lists(), b.row_lists())
-        assert RatMatrix.from_rows(rows) == xl.left_mul_matrix(a) - xl.right_mul_matrix(b)
-        assert xl.vectorize_commutator_map(a) == RatMatrix.from_rows(commutation_system(a.row_lists()))
+        assert RatMatrix.from_rows(rows) == xl.intertwiner_matrix(a, b) == oracle_intertwiner(a, b)
+        assert xl.vectorize_commutator_map(a) == oracle_intertwiner(a, a)
+        zero = RatMatrix.zero(n, n)
+        assert xl.left_mul_matrix(a) == oracle_intertwiner(a, zero)
+        assert xl.right_mul_matrix(b) == oracle_intertwiner(zero, -b)
     with pytest.raises(xl.ShapeMismatchError):
         xl.intertwiner_rows([[1, 2], [3, 4]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    with pytest.raises(xl.ShapeMismatchError):
-        xl.vectorize_commutator_map(RatMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+    wide = RatMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+    for operator in (xl.vectorize_commutator_map, xl.left_mul_matrix, xl.right_mul_matrix):
+        with pytest.raises(xl.ShapeMismatchError):
+            operator(wide)
     with pytest.raises(xl.ShapeMismatchError):
         hom_dim([RatMatrix.identity(2)], [RatMatrix.identity(3)])
 

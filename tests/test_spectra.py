@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -264,3 +265,18 @@ def test_additive_basic_relation_has_m_equal_to_q(spectrum):
         assert basic.q == basic.m == q and basic.relation is not None
     else:
         assert basic is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(spectrum=global_spectra(), cap=st.integers(1, 300))
+def test_relation_choices_counts_the_filtered_product(spectrum, cap):
+    choices = 0
+    for m in range(1, spectrum.n):
+        per_class = []
+        for cls_ in spectrum.classes:
+            mults = [mult for _, mult in cls_]
+            every = [c for c in itertools.product(*(range(k + 1) for k in mults)) if sum(c) == m]
+            assert list(sp._count_vectors(mults, m)) == every
+            per_class.append(len(every))
+        choices += math.prod(per_class)
+    assert sp.relation_choices(spectrum, cap) == min(cap, choices)

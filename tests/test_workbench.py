@@ -63,10 +63,6 @@ def test_semidirect_point_properties():
         assert j.multiplicities() == (2, 2) and j.is_diagonal()
     corner = RatMatrix.from_rows([[w.matrices[3][i, j] for j in (2, 3)] for i in (0, 1)])
     assert corner.trace() == 0 and xl.rank(corner) == 1 and (corner @ corner).is_zero()
-    custom = wb.build_semidirect_point(rigid, RatMatrix.from_rows([[2, -4], [1, -2]]))
-    assert tl.centralizer_dim(custom) == 2
-    with pytest.raises(wb.ConstructionFailedError):
-        wb.build_semidirect_point(rigid, RatMatrix.from_rows([[1, 0], [0, -1]]))
 
 
 def test_direct_sum_and_doubled_points():
