@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")
 
 
 class LinalgError(Exception):
@@ -52,8 +52,9 @@ class NoSolutionError(LinalgError):
 
 
 def rational_from_str(text: str) -> Fraction:
-    """Parse "p/q" or "p" (sign on the numerator) into a Fraction."""
-    if not _RATIONAL_RE.match(text):
+    """Parse "p/q" or "p" (sign on the numerator, ASCII digits, nothing
+    around the literal) into a Fraction."""
+    if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a rational literal: {text!r}")
     return Fraction(text)
 

@@ -29,11 +29,16 @@ The checks provided:
   the tuple, via the kernel of that differential (the route the corpus
   checks the literature's tangent numbers against);
 * ``orbit_dim`` -- dimension of the simultaneous conjugation orbit;
-* ``report`` -- all of the above for one tuple.  Its ``tangent_dim`` comes
-  from trace duality rather than from the differential: for a closed tuple
-  the image of the differential is the orthogonal complement of the
-  tuple's centralizer, so the tangent dimension is
-  (k - 1) n^2 + dim C(tuple) - sum_j dim C(M_j) for k matrices.
+* ``report`` -- all of the above for one tuple.  The JNFs come from
+  ``jnf_of`` and the tuple's centralizer from ``centralizer_dim``.  Its
+  ``tangent_dim`` comes from trace duality rather than from the
+  differential: for a closed tuple the image of the differential is the
+  orthogonal complement of the tuple's centralizer, so the tangent
+  dimension is (k - 1) n^2 + dim C(tuple) - sum_j dim C(M_j) for k
+  matrices.  Each dim C(M_j) is ``centralizer_dim_of_jnf`` of M_j's JNF
+  when its claimed spectrum checks out, and ``centralizer_dim_of([M_j])``
+  otherwise.  ``irreducible`` runs the Burnside closure only when the
+  centralizer is the scalars; a larger centralizer means reducible.
 
 All dimensions are reported in the full matrix algebra gl(n) convention;
 determinant-one conventions found in the literature are these values
@@ -49,7 +54,7 @@ from typing import Mapping, Sequence
 
 from . import exact_linalg as xl
 from .exact_linalg import RatMatrix, json_list, rat, rational_from_str, rational_to_str
-from .jnf import Jnf, Partition
+from .jnf import Jnf, Partition, centralizer_dim_of_jnf
 from .reduction import JnfTuple, expected_dim, kappa  # noqa: F401  (re-exported)
 from .spectra import ADDITIVE, MULTIPLICATIVE
 
@@ -325,19 +330,28 @@ def report(t: MatrixTuple) -> dict:
     out: dict = {"mode": t.mode, "n": t.n, "count": len(t.matrices)}
     closed = verify_closure(t)
     out["closure"] = closed
-    try:
-        jt = jnf_tuple_of(t)
-    except WrongSpectrumError as exc:
-        out["jnfs"] = None
-        out["wrong_spectrum"] = str(exc)
-        jt = None
-    else:
-        out["jnfs"] = jt.to_json()
+    # None marks a matrix whose claimed spectrum is wrong; the first message
+    # is the one ``jnf_tuple_of`` would raise
+    jnfs: list[Jnf | None] = []
+    wrong: list[str] = []
+    for m, eigs in zip(t.matrices, t.eigenvalue_lists):
+        try:
+            jnfs.append(jnf_of(m, eigs))
+        except WrongSpectrumError as exc:
+            jnfs.append(None)
+            wrong.append(str(exc))
+    jt = None if wrong else JnfTuple(jnfs)
+    out["jnfs"] = None if jt is None else jt.to_json()
+    if wrong:
+        out["wrong_spectrum"] = wrong[0]
     cdim = centralizer_dim(t)
     out["centralizer_dim"] = cdim
     out["trivial_centralizer"] = cdim == 1
     out["commutator_map_surjective"] = cdim == 1  # trace duality, as in ``commut_surjective``
-    out["irreducible"] = is_irreducible(t)
+    # A non-scalar matrix commuting with every generator commutes with the
+    # whole generated algebra, which therefore is not M_n(Q), whose
+    # commutant is the scalars: run the Burnside closure only when cdim is 1.
+    out["irreducible"] = cdim == 1 and is_irreducible(t)
     out["orbit_dim"] = t.n**2 - cdim
     # The same duality gives the tangent dimension without building the
     # corner differential: when the tuple closes, block j of the product
@@ -345,9 +359,14 @@ def report(t: MatrixTuple) -> dict:
     # additive case Y -> [M_j, Y]), so its image is again the
     # orthogonal complement of the centralizer and its rank is n^2 - cdim.
     # The kernel is then k n^2 - (n^2 - cdim) for k matrices; ``tangent_dim``
-    # computes the same number as the kernel of the differential.
+    # computes the same number as the kernel of the differential.  Each
+    # dim C(M_j) depends only on the JNF of M_j, so it is read off the JNF
+    # when the claimed spectrum checks out, and found by elimination otherwise.
     if closed:
-        single = sum(centralizer_dim_of([m]) for m in t.matrices)
+        single = sum(
+            centralizer_dim_of([m]) if j is None else centralizer_dim_of_jnf(j)
+            for m, j in zip(t.matrices, jnfs)
+        )
         out["tangent_dim"] = (len(t) - 1) * t.n**2 + cdim - single
         out["tangent_dim_is_formal"] = cdim != 1
     else:

@@ -212,7 +212,13 @@ def test_verify_malformed_tuples_are_input_errors(tmp_path, capsys):
     single = {"mode": "additive", "matrices": [[["0", "0"], ["0", "0"]]], "eigenvalues": [["0", "0"]]}
     boolean_entry = json.loads((FIXTURES / "example4_first_quadruple.verify.json").read_text(encoding="utf-8"))
     boolean_entry["matrices"][0][1][1] = True  # the entry "1", spelled as a JSON boolean
-    for name, payload in (("single", single), ("boolean", boolean_entry)):
+    # the entry "1" with a trailing newline, and spelled with an Arabic-Indic digit
+    quadruple = shipped("example4_first_quadruple.verify.json")
+    newline = replaced(quadruple, ("matrices", 0, 1, 1), "1\n")
+    arabic_indic = replaced(quadruple, ("matrices", 0, 1, 1), "\u0661")
+    for name, payload in (
+        ("single", single), ("boolean", boolean_entry), ("newline", newline), ("arabic-indic", arabic_indic)
+    ):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
         code, _, err = run(capsys, "verify", "-i", str(path), "--json")
@@ -243,8 +249,10 @@ FIRST_SCALAR = ("spectrum", "classes", 0, 0)
         (FIRST_SCALAR + ("mult",), "2"),
         (("spectrum", "symbols"), "e23"),
         (FIRST_SCALAR + ("scalar", "exponents"), [1]),
+        (FIRST_SCALAR + ("scalar", "phase"), "1\n"),
+        (FIRST_SCALAR + ("scalar", "phase"), "\u0661"),
     ],
-    ids=["mult-float", "mult-string", "symbols-string", "exponents-list"],
+    ids=["mult-float", "mult-string", "symbols-string", "exponents-list", "phase-newline", "phase-arabic-indic"],
 )
 def test_analyze_malformed_spectrum_is_input_error(tmp_path, capsys, path, value):
     file = tmp_path / "spectrum.json"

@@ -8,7 +8,7 @@ import pytest
 from deligne_simpson import exact_linalg as xl
 from deligne_simpson import tuple_lab as tl
 from deligne_simpson.exact_linalg import RatMatrix
-from deligne_simpson.jnf import Jnf, Partition
+from deligne_simpson.jnf import Jnf, Partition, centralizer_dim_of_jnf
 from deligne_simpson.tuple_lab import MatrixTuple
 from deligne_simpson.workbench import (
     build_first_block_triple,
@@ -254,6 +254,79 @@ def test_report_checks_closure_once(monkeypatch):
     assert rep["tangent_dim"] is None and rep["tangent_dim_is_formal"] is None
 
 
+def test_report_runs_the_burnside_closure_only_at_trivial_centralizer(monkeypatch):
+    calls = []
+    closure = tl.is_irreducible
+    monkeypatch.setattr(tl, "is_irreducible", lambda t: calls.append(t) or closure(t))
+    quad = build_trivial_centralizer_quadruple()
+    assert tl.report(quad)["irreducible"] is False
+    assert calls == [quad]
+    # centralizer dims 2 and 9: reducible without the closure
+    for t in (build_split_sum_quadruple(), identity_tuple(3, 2)):
+        rep = tl.report(t)
+        assert rep["centralizer_dim"] > 1 and rep["irreducible"] is False
+    assert calls == [quad]
+    triple = build_first_block_triple()
+    assert tl.report(triple)["irreducible"] is True
+    assert calls == [quad, triple]
+
+
+def closed_triangular_tuple(rng, mode, n, count):
+    """A closed tuple of upper-triangular matrices conjugated by one random
+    g, claiming each diagonal as the spectrum.  The closing matrix is
+    triangular too, so every claim is right.  Diagonals draw from few values
+    and off-diagonals are often 0, so eigenvalues repeat with varied blocks."""
+    values = [F(1), F(-1), F(2)] if mode == "multiplicative" else [F(0), F(1), F(-2)]
+
+    def triangular():
+        rows = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = rng.choice(values)
+            for j in range(i + 1, n):
+                rows[i][j] = F(rng.choice([0, 0, 1, -1, 2]))
+        return RatMatrix.from_rows(rows)
+
+    mats = [triangular() for _ in range(count - 1)]
+    if mode == "multiplicative":
+        mats.append(xl.inverse(xl.product(mats)))
+    else:
+        mats.append(-sum(mats[1:], mats[0]))
+    claims = [[m.row(i)[i] for i in range(n)] for m in mats]
+    return tl.conjugate(MatrixTuple(mode, mats, claims), random_invertible(rng, n))
+
+
+TRIANGULAR_CASES = [
+    (mode, n, count)
+    for mode in ("multiplicative", "additive")
+    for n, count in ((3, 4), (4, 3), (5, 4), (6, 3))
+]
+
+
+@pytest.mark.parametrize("mode,n,count", TRIANGULAR_CASES)
+def test_report_reads_matrix_centralizers_off_the_jnfs(mode, n, count):
+    rng = random.Random(f"{mode}-{n}-{count}")
+    t = closed_triangular_tuple(rng, mode, n, count)
+    assert tl.verify_closure(t)
+    dense = tl.tangent_dim(t)
+    rep = tl.report(t)
+    assert rep["jnfs"] is not None and rep["tangent_dim"] == dense
+    for m, eigs in zip(t.matrices, t.eigenvalue_lists):
+        assert centralizer_dim_of_jnf(tl.jnf_of(m, eigs)) == tl.centralizer_dim_of([m])
+    # one wrong claim, then all: those centralizers come from elimination,
+    # and the message reported is the first, as jnf_tuple_of raises it
+    k = rng.randrange(count)
+    for wrong_ones in ([k], range(count)):
+        claims = list(t.eigenvalue_lists)
+        for i in wrong_ones:
+            claims[i] = [claims[i][0] + 7, *claims[i][1:]]  # no longer the spectrum
+        wrong = MatrixTuple(mode, t.matrices, claims)
+        rep = tl.report(wrong)
+        with pytest.raises(tl.WrongSpectrumError) as raised:
+            tl.jnf_tuple_of(wrong)
+        assert rep["jnfs"] is None and rep["wrong_spectrum"] == str(raised.value)
+        assert rep["tangent_dim"] == dense
+
+
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
@@ -314,7 +387,9 @@ def test_tangent_dim_matches_centralizer_oracle_on_seeded_tuples(seed, mode, n, 
     dense = tl.tangent_dim(t)
     assert dense == tangent_oracle(t)
     # report takes the same number from the centralizers, without the differential
-    assert tl.report(t)["tangent_dim"] == dense
+    rep = tl.report(t)
+    assert rep["tangent_dim"] == dense
+    assert rep["irreducible"] == tl.is_irreducible(t)
 
 
 def test_tangent_dim_matches_centralizer_oracle_on_shipped_tuples():
@@ -324,7 +399,9 @@ def test_tangent_dim_matches_centralizer_oracle_on_shipped_tuples():
         t = MatrixTuple.from_json(json.loads(path.read_text(encoding="utf-8")))
         dense = tl.tangent_dim(t)
         assert dense == tangent_oracle(t), path.name
-        assert tl.report(t)["tangent_dim"] == dense, path.name
+        rep = tl.report(t)
+        assert rep["tangent_dim"] == dense, path.name
+        assert rep["irreducible"] == tl.is_irreducible(t), path.name
 
 
 @pytest.mark.parametrize("mode", ["multiplicative", "additive"])
