@@ -9,7 +9,6 @@ and orbit dimensions) with exact rational arithmetic.
 
 from .exact_linalg import (
     RatMatrix,
-    Rational,
     commutator,
     inverse,
     matmul,

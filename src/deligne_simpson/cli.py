@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from . import reduction as rd
 from . import spectra as sp
@@ -52,19 +53,24 @@ def _load_json(path: str) -> dict:
     return data
 
 
+@contextmanager
+def _malformed(what: str):
+    """Turn a parser's KeyError, TypeError or ValueError into an InputError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{what}: {exc}") from exc
+
+
 def _parse_analyze_input(data: dict) -> tuple[rd.JnfTuple, sp.SpectrumAssignment | None]:
     if "jnfs" not in data:
         raise InputError("analyze input needs a 'jnfs' key")
-    try:
+    with _malformed("bad JNF tuple"):
         tup = rd.JnfTuple.from_json(data["jnfs"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad JNF tuple: {exc}") from exc
     spectrum = None
     if data.get("spectrum") is not None:
-        try:
+        with _malformed("bad spectrum"):
             spectrum = sp.SpectrumAssignment.from_json(data["spectrum"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad spectrum: {exc}") from exc
         if spectrum.n != tup.n:
             raise InputError(f"spectrum size {spectrum.n} does not match JNF size {tup.n}")
         if len(spectrum.classes) != len(tup.jnfs):
@@ -157,10 +163,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify(args) -> int:
     data = _load_json(args.input)
-    try:
+    with _malformed("bad matrix tuple"):
         tup = tl.MatrixTuple.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad matrix tuple: {exc}") from exc
     report = tl.report(tup)
     if args.json:
         sys.stdout.write(dumps(report))
@@ -213,10 +217,8 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    try:
+    with _malformed(f"bad partition {args.parts!r}"):
         partition = Partition(capped(int(p) for p in args.parts.split(",") if p.strip()))
-    except ValueError as exc:
-        raise InputError(f"bad partition {args.parts!r}: {exc}") from exc
     result = partition.dual()
     if args.json:
         sys.stdout.write(dumps({"partition": list(partition.parts), "dual": list(result.parts)}))
@@ -237,23 +239,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--trace", action="store_true", help="include the per-stage reduction trace")
     p_analyze.add_argument("--explore-choices", action="store_true",
                            help="check the verdict over all admissible eigenvalue choices")
-    p_analyze.add_argument("--json", action="store_true")
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_verify = sub.add_parser("verify", help="verification report for an explicit matrix tuple")
     p_verify.add_argument("-i", "--input", required=True, help="JSON matrix tuple file")
-    p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 
     p_corpus = sub.add_parser("corpus", help="run the built-in example corpus")
     p_corpus.add_argument("--example", help="run a single example (example1..example5)")
-    p_corpus.add_argument("--json", action="store_true")
     p_corpus.set_defaults(func=cmd_corpus)
 
     p_dual = sub.add_parser("dual", help="print the conjugate of a partition")
     p_dual.add_argument("parts", help="comma-separated parts, e.g. 4,3,3")
-    p_dual.add_argument("--json", action="store_true")
     p_dual.set_defaults(func=cmd_dual)
+
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
 
     return parser
 

@@ -30,24 +30,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")
 
 
-class LinalgError(Exception):
-    """Base class for exact linear algebra errors."""
-
-
-class ShapeMismatchError(LinalgError):
+class ShapeMismatchError(Exception):
     pass
 
 
-class SingularMatrixError(LinalgError):
+class SingularMatrixError(Exception):
     pass
 
 
-class NoSolutionError(LinalgError):
+class NoSolutionError(Exception):
     pass
 
 
@@ -195,7 +189,7 @@ class RatMatrix:
     @classmethod
     def from_json(cls, data: Sequence[Sequence[int | str]]) -> RatMatrix:
         rows = json_list(data, "matrix")
-        return cls.from_rows([[rat(x) for x in json_list(row, "matrix row")] for row in rows])
+        return cls.from_rows([json_list(row, "matrix row") for row in rows])
 
 
 def matmul_rows(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:

@@ -33,15 +33,11 @@ from typing import Iterable, Iterator, Sequence
 from .jnf import Jnf, Partition, class_dim, min_rank
 
 
-class ReductionError(Exception):
+class PreconditionViolatedError(Exception):
     pass
 
 
-class PreconditionViolatedError(ReductionError):
-    pass
-
-
-class InvalidChoiceError(ReductionError):
+class InvalidChoiceError(Exception):
     pass
 
 

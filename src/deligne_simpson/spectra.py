@@ -46,15 +46,11 @@ def _require_object(data, what: str) -> None:
         raise TypeError(f"{what} must be a JSON object, not {type(data).__name__}")
 
 
-class SpectraError(Exception):
+class MixedModesError(Exception):
     pass
 
 
-class MixedModesError(SpectraError):
-    pass
-
-
-class GlobalConditionViolatedError(SpectraError):
+class GlobalConditionViolatedError(Exception):
     pass
 
 
@@ -135,7 +131,7 @@ class FormalScalar:
         extra = sorted(set(data) - set(keys))
         if extra:
             raise ValueError(f"a {mode} scalar takes only {keys[0]!r} and {keys[1]!r}, not {extra}")
-        return build(data.get(keys[0]), rat(data.get(keys[1], 0)))
+        return build(data.get(keys[0]), data.get(keys[1], 0))
 
 
 def combine(

@@ -59,15 +59,11 @@ from .reduction import JnfTuple, expected_dim, kappa  # noqa: F401  (re-exported
 from .spectra import ADDITIVE, MULTIPLICATIVE
 
 
-class TupleLabError(Exception):
+class WrongSpectrumError(Exception):
     pass
 
 
-class WrongSpectrumError(TupleLabError):
-    pass
-
-
-class ClosureViolatedError(TupleLabError):
+class ClosureViolatedError(Exception):
     pass
 
 

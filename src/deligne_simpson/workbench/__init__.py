@@ -2,8 +2,6 @@
 
 from .builders import (
     ConstructionFailedError,
-    SolveFailedError,
-    WorkbenchError,
     block_triangular,
     build_first_block_triple,
     build_jordan_quadruple,

@@ -54,15 +54,7 @@ from ..tuple_lab import (
 )
 
 
-class WorkbenchError(Exception):
-    pass
-
-
-class ConstructionFailedError(WorkbenchError):
-    pass
-
-
-class SolveFailedError(WorkbenchError):
+class ConstructionFailedError(Exception):
     pass
 
 
@@ -246,7 +238,7 @@ def build_semidirect_point(rigid: MatrixTuple) -> MatrixTuple:
     try:
         solution = xl.solve(system, rhs)
     except xl.NoSolutionError as exc:  # impossible for an irreducible triple
-        raise SolveFailedError("upper-right block equation is inconsistent") from exc
+        raise ConstructionFailedError("upper-right block equation is inconsistent") from exc
     rs = [xl.commutator(n, z) for n, z in zip(ns, _blocks(solution, 2), strict=True)] + [r4]
     t = block_triangular(rigid, rigid, rs)
     _check(

@@ -23,11 +23,6 @@ def _basic(s, read, absent=None):
     return absent if basic is None else read(basic)
 
 
-def _jnf_of_matrix(t, i: int) -> list:
-    out = tl.jnf_of(t.matrices[i], t.eigenvalue_lists[i]).to_json()
-    return out if isinstance(out, list) else [out]
-
-
 def _nilpotent_rank1_corner(t) -> bool:
     m = t.matrices[-1]
     half = t.n // 2
@@ -76,7 +71,9 @@ _OPERATIONS = {
         "tangent_dim": lambda f, e, t: tl.tangent_dim(t),
         "orbit_dim": lambda f, e, t: tl.orbit_dim(t),
         "kappa_of_tuple": lambda f, e, t: rd.kappa(tl.jnf_tuple_of(t)),
-        "jnf_of_matrix": lambda f, e, t: _jnf_of_matrix(t, e.params["index"]),
+        "jnf_of_matrix": lambda f, e, t: tl.jnf_of(
+            t.matrices[e.params["index"]], t.eigenvalue_lists[e.params["index"]]
+        ).to_json(),
         "in_declared_classes": lambda f, e, t: all(
             tl.class_membership(m, Jnf.from_json(j)) for m, j in zip(t.matrices, e.params["jnfs"])
         ),

@@ -2,8 +2,10 @@
 
 Nothing here goes through the package's elimination routines: rank comes
 from enumerating minors with a cofactor determinant or from a plain
-Fraction echelon, and matrix products are computed entrywise.  Slow, but
-exact and structurally unrelated to the code paths under test.
+Fraction echelon, and matrix products are computed entrywise; the
+generic Deligne-Simpson verdict comes from a root test on a star-shaped
+quiver, not from the reduction.  Slow, but exact and structurally
+unrelated to the code paths under test.
 """
 
 from __future__ import annotations
@@ -112,3 +114,55 @@ def scaled_full_witnesses(s, den: int) -> set:
             parts.append(tuple((scalar, int(c)) for scalar, c in scaled if c))
         out.add((s.n * t // den, tuple(parts)))
     return out
+
+
+def star_root_kind(classes: list[list[tuple[str, list[int]]]]) -> str | None:
+    """"real" or "imaginary" when the dimension vector of a tuple of Jordan
+    normal forms on its star-shaped quiver is a positive root, None when it
+    is not a root.  Each class lists (eigenvalue label, Jordan blocks).
+
+    For generic eigenvalues an irreducible tuple with product I (or sum 0)
+    exists exactly when this vector is a positive root: Crawley-Boevey,
+    Duke Math. J. 118 (2003), additive; Crawley-Boevey & Shaw, Adv. Math.
+    201 (2006), multiplicative.  The centre is n; arm j walks the
+    eigenvalues xi_1, xi_2, ... of class j in sorted label order, each
+    repeated as often as its largest block, and its entry k is
+    rank (A - xi_1)...(A - xi_k) = n - sum over xi and its blocks b of
+    min(b, m_xi), with m_xi the count of xi among the first k.
+    """
+    n = sum(b for _, blocks in classes[0] for b in blocks)
+    alpha = [n]
+    neighbours: list[list[int]] = [[]]
+    for cls_ in classes:
+        walk = [label for label, blocks in sorted(cls_) for _ in range(max(blocks))]
+        seen: dict[str, int] = {}
+        prev = 0
+        for label in walk[:-1]:  # the whole walk gives rank 0, off the quiver
+            seen[label] = seen.get(label, 0) + 1
+            alpha.append(n - sum(min(b, seen.get(lab, 0)) for lab, blocks in cls_ for b in blocks))
+            neighbours.append([prev])
+            neighbours[prev].append(len(alpha) - 1)
+            prev = len(alpha) - 1
+    # Reflect at a vertex i with (alpha, e_i) > 0 until none is left; each
+    # reflection lowers alpha_i, so the loop ends.  A positive root other
+    # than e_i reflects to a positive root.
+    while True:
+        if min(alpha) < 0:
+            return None
+        if sum(alpha) == 1:
+            return "real"
+        pairing = [2 * a - sum(alpha[j] for j in neighbours[i]) for i, a in enumerate(alpha)]
+        i = next((i for i, p in enumerate(pairing) if p > 0), None)
+        if i is None:
+            break
+        alpha[i] -= pairing[i]
+    # In the fundamental region: a root exactly when the support is connected.
+    support = {i for i, a in enumerate(alpha) if a}
+    start = min(support)
+    reached, stack = {start}, [start]
+    while stack:
+        for j in neighbours[stack.pop()]:
+            if j in support and j not in reached:
+                reached.add(j)
+                stack.append(j)
+    return "imaginary" if reached == support else None

@@ -77,6 +77,22 @@ def test_analyze_rejects_counts_past_the_size_cap(tmp_path, capsys, jnf):
     assert code == 2 and "bad JNF tuple" in err
 
 
+def test_analyze_explores_a_chain_longer_than_the_recursion_limit(tmp_path, capsys):
+    n = 1100
+    jnfs = [
+        [{"eigenvalue": "a", "blocks": [n]}],
+        [{"eigenvalue": "b", "blocks": [n]}],
+        [{"eigenvalue": "c", "blocks": [1]}, {"eigenvalue": "d", "blocks": [1] * (n - 1)}],
+    ]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"jnfs": jnfs}), encoding="utf-8")
+    code, out, _ = run(capsys, "analyze", "-i", str(path), "--explore-choices", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["chain"] == list(range(n, 0, -1))
+    assert payload["choice_exploration"] == {"paths": 2, "verdicts_agree": True}
+
+
 def test_analyze_example1(capsys):
     path = str(FIXTURES / "example1.analyze.json")
     code, out, _ = run(capsys, "analyze", "-i", path, "--trace", "--explore-choices", "--json")

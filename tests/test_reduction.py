@@ -1,15 +1,18 @@
 import itertools
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deligne_simpson import reduction as rd
 from deligne_simpson.jnf import Jnf, Partition
 from deligne_simpson.reduction import JnfTuple
 
 from conftest import random_jnf_tuple
+from oracles import star_root_kind
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -197,6 +200,64 @@ def test_reduce_step_raises_exactly_at_the_last_stage_of_every_shipped_trace(pat
         with pytest.raises(rd.PreconditionViolatedError) as raised:
             rd.reduce_step(trc.steps[-1].tuple)
         assert trc.verdict.reason in str(raised.value)
+
+
+def long_chain(n: int) -> JnfTuple:
+    """a: [n], b: [n], and c: [1], d: [1]*(n-1): each step shrinks n by one."""
+    return JnfTuple([Jnf([("a", [n])]), Jnf([("b", [n])]), Jnf([("c", [1]), ("d", [1] * (n - 1))])])
+
+
+def test_a_chain_longer_than_the_recursion_limit_is_walked_without_recursion():
+    n = 1100
+    assert n > sys.getrecursionlimit()
+    t = long_chain(n)
+    trace = rd.solvable_generic(t)
+    assert trace.sizes() == tuple(range(n, 0, -1))
+    assert trace.verdict == rd.Verdict(True, "size reached 1")
+    traces = rd.explore_all_traces(t)
+    assert len(traces) == 2  # the only choice is c or d at size 2
+    assert {trc.verdict.solvable for trc in traces} == {True}
+    assert traces[0] == trace
+
+
+@st.composite
+def jnf_tuples(draw) -> JnfTuple:
+    """2-5 classes of one size n <= 8; each splits n into eigenvalue
+    multiplicities and each multiplicity into Jordan blocks."""
+
+    def partition(total: int) -> list[int]:
+        parts = []
+        while total:
+            parts.append(draw(st.integers(1, total)))
+            total -= parts[-1]
+        return parts
+
+    n = draw(st.integers(1, 8))
+    count = draw(st.integers(2, 5))
+    return JnfTuple(Jnf((f"v{i}", partition(m)) for i, m in enumerate(partition(n))) for _ in range(count))
+
+
+def root_kind(t: JnfTuple) -> str | None:
+    return star_root_kind([[(label, list(part.parts)) for label, part in j.blocks_by_eigenvalue] for j in t.jnfs])
+
+
+@settings(max_examples=500, deadline=None)
+@given(jnf_tuples())
+def test_solvable_generic_agrees_with_the_root_test(t):
+    kind = root_kind(t)
+    assert rd.solvable_generic(t).verdict.solvable == (kind is not None)
+    # kappa is the Tits form of the dimension vector: 2 on real roots, <= 0 on imaginary ones
+    if kind == "real":
+        assert rd.kappa(t) == 2
+    elif kind == "imaginary":
+        assert rd.kappa(t) <= 0
+
+
+def test_root_test_kinds():
+    assert star_root_kind([[("e1", [1])]] * 3) == "real"  # n = 1
+    assert root_kind(j_star()) == "real"  # kappa 2
+    assert star_root_kind([[("e1", [1]), ("e2", [1])]] * 4) == "imaginary"  # zero_index_22, the affine D4 root
+    assert star_root_kind([[("e1", [1]), ("e2", [1])]] * 2) is None  # a pair: beta fails
 
 
 def test_trace_json_shape():

@@ -65,6 +65,17 @@ def test_semidirect_point_properties():
     assert corner.trace() == 0 and xl.rank(corner) == 1 and (corner @ corner).is_zero()
 
 
+def test_semidirect_point_reports_an_inconsistent_corner_as_a_construction_failure(monkeypatch):
+    rigid = wb.build_rigid_quadruple()
+
+    def inconsistent(system, rhs):
+        raise xl.NoSolutionError("inconsistent")
+
+    monkeypatch.setattr(wb.builders.xl, "solve", inconsistent)
+    with pytest.raises(wb.ConstructionFailedError, match="upper-right block equation is inconsistent"):
+        wb.build_semidirect_point(rigid)
+
+
 def test_direct_sum_and_doubled_points():
     rigid = wb.build_rigid_quadruple()
     jordan = wb.build_jordan_quadruple()
