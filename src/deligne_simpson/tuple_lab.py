@@ -20,8 +20,13 @@ The checks provided:
   image is the orthogonal complement of the centralizer under
   (X, Y) -> trace(XY), so it is onto exactly when the centralizer is the
   scalars;
-* ``is_irreducible`` -- the generated unital algebra has dimension n^2
-  (Burnside's criterion);
+* ``is_irreducible`` -- the generated unital algebra is M_n(Q), of
+  dimension n^2 (Burnside's criterion), decided by Norton's test
+  (``norton_spins``): for theta = M_j - lam I with a claimed eigenvalue lam
+  of rank(theta) = n - 1, the spins of ker theta under the M_i and of
+  ker theta^T under the M_i^T are both Q^n.  Only when no claimed
+  eigenvalue gives such a theta does it run the Burnside closure
+  (``algebra_dim``), an n^2-dimensional span;
 * ``corner_differential`` -- the linear map that the upper-right block of
   a product (or sum) of block upper-triangular matrices depends on; with
   equal diagonal blocks, the product/sum differential;
@@ -30,15 +35,18 @@ The checks provided:
   checks the literature's tangent numbers against);
 * ``orbit_dim`` -- dimension of the simultaneous conjugation orbit;
 * ``report`` -- all of the above for one tuple.  The JNFs come from
-  ``jnf_of`` and the tuple's centralizer from ``centralizer_dim``.  Its
-  ``tangent_dim`` comes from trace duality rather than from the
-  differential: for a closed tuple the image of the differential is the
-  orthogonal complement of the tuple's centralizer, so the tangent
+  ``jnf_of``.  Its ``tangent_dim`` comes from trace duality rather than
+  from the differential: for a closed tuple the image of the differential
+  is the orthogonal complement of the tuple's centralizer, so the tangent
   dimension is (k - 1) n^2 + dim C(tuple) - sum_j dim C(M_j) for k
   matrices.  Each dim C(M_j) is ``centralizer_dim_of_jnf`` of M_j's JNF
   when its claimed spectrum checks out, and ``centralizer_dim_of([M_j])``
-  otherwise.  ``irreducible`` runs the Burnside closure only when the
-  centralizer is the scalars; a larger centralizer means reducible.
+  otherwise.  ``irreducible`` comes from Norton's test; when either of
+  its spins is Q^n the centralizer is the scalars, and ``report`` sets
+  ``centralizer_dim`` to 1 without the stacked elimination.  Without a
+  theta for the test, ``report`` finds the centralizer by elimination
+  first and runs the Burnside closure only when it is the scalars; a
+  larger centralizer means reducible.
 
 All dimensions are reported in the full matrix algebra gl(n) convention;
 determinant-one conventions found in the literature are these values
@@ -50,7 +58,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import exact_linalg as xl
 from .exact_linalg import RatMatrix, json_list, rat, rational_from_str, rational_to_str
@@ -241,25 +249,100 @@ def commut_surjective(t: MatrixTuple) -> bool:
     return centralizer_dim(t) == 1
 
 
-def is_irreducible(t: MatrixTuple) -> bool:
-    """Burnside criterion: the unital algebra generated by the matrices has
-    dimension n^2.  The span starts from I; each basis row is read once as
-    an n x n matrix and its products with every generator join the span.
-    Once every row is read the span is closed under right multiplication by
-    the generators: it is the algebra.  Integer scaling changes no span."""
-    n = t.n
-    target = n * n
-    generators = [xl.integer_matrix(m) for m in t.matrices]
+def _spin_dim(start: Iterable[int], images: Callable[[list[int]], Iterable[Iterable[int]]], bound: int) -> int:
+    """Dimension of the smallest subspace that contains start and that the
+    linear maps whose images of a row ``images`` yields all keep, or bound
+    once the span reaches it.  Each basis row is read once and its images
+    join the span; once every row is read the span is closed under every
+    map, since the rows span it.  Integer scaling changes no span."""
     basis = xl.IntEchelon()
-    basis.add(int(i == j) for i in range(n) for j in range(n))
+    basis.add(start)
     read = 0
-    while read < len(basis) < target:
-        row = basis.rows[read]
-        m = [row[i * n : (i + 1) * n] for i in range(n)]
-        for g in generators:
-            basis.add(x for prod_row in xl.matmul_rows(m, g) for x in prod_row)
+    while read < len(basis) < bound:
+        for image in images(basis.rows[read]):
+            basis.add(image)
         read += 1
-    return len(basis) == target
+    return len(basis)
+
+
+def algebra_dim(t: MatrixTuple) -> int:
+    """Dimension of the unital algebra generated by the matrices, by the
+    Burnside closure: it is n^2 exactly when the algebra is M_n(Q).  The
+    spin of vec(I) under right multiplication by every generator, with each
+    row read as an n x n matrix; the closure stops early at n^2."""
+    n = t.n
+    generators = [xl.integer_matrix(m) for m in t.matrices]
+
+    def products(row: list[int]):
+        m = [row[i * n : (i + 1) * n] for i in range(n)]
+        return ((x for prod_row in xl.matmul_rows(m, g) for x in prod_row) for g in generators)
+
+    return _spin_dim((int(i == j) for i in range(n) for j in range(n)), products, n * n)
+
+
+def norton_spins(t: MatrixTuple) -> tuple[bool, bool] | None:
+    """Norton's irreducibility test (Parker 1984; Holt & Rees, J. Austral.
+    Math. Soc. 57 (1994)): (the spin of v is Q^n, the spin of w is Q^n), or
+    None when no claimed eigenvalue gives the test its theta.
+
+    theta = M_j - lam I for the first M_j, in tuple order, with a claimed
+    eigenvalue lam, in claim order, of rank(M_j - lam I) = n - 1; a wrong
+    claim only fails that rank check.  v spans ker theta and w spans
+    ker theta^T.  The spin of v is the smallest subspace that contains v
+    and that every M_i keeps; the spin of w is the same under the M_i^T.
+
+    theta lies in the generated algebra A and has a 1-dimensional kernel,
+    and that is all the following uses.
+
+    * Both spins are Q^n exactly when A = M_n(Q) (dimension n^2).  Let U
+      be a proper nonzero A-invariant subspace.  If v is not in U, theta
+      is injective on U, hence invertible there, so it is singular on
+      Q^n/U; its transpose then has a kernel vector in U^perp, which is w
+      up to scale.  So v lies in U or w in U^perp, and U^perp is a proper
+      nonzero subspace that every M_i^T keeps.  Hence when neither spin
+      is proper, Q^n is a simple A-module.  Every A-endomorphism X commutes
+      with theta, so it keeps ker theta = Qv: X v = c v, and X - c I, which
+      is not invertible, is 0 by Schur's lemma.  The commutant is Q, and
+      by the density theorem A = M_n(Q).  Conversely, a proper spin of v
+      is a proper invariant subspace, and the annihilator of a proper spin
+      of w is one too, so A is not M_n(Q).
+    * If either spin is Q^n, the tuple's centralizer is the scalars: X in
+      it keeps ker theta, so X v = c v, and X - c I kills the spin of v,
+      which every M_i keeps; likewise X^T w = c' w, and X^T - c' I kills
+      the spin of w, which every M_i^T keeps.
+    """
+    n = t.n
+    for m, eigs in zip(t.matrices, t.eigenvalue_lists):
+        for lam in dict.fromkeys(eigs):
+            theta = m - RatMatrix.identity(n).scale(lam)
+            kernel = xl.nullspace_basis(theta)
+            if len(kernel) != 1:
+                continue
+            (cokernel,) = xl.nullspace_basis(RatMatrix.from_rows(list(zip(*theta.row_lists()))))
+            # g x for a column x is the row x^T g^T, and g^T y is the row y^T g
+            generators = [xl.integer_matrix(g) for g in t.matrices]
+            transposes = [list(zip(*g)) for g in generators]
+            return _spans_everything(kernel[0], transposes), _spans_everything(cokernel, generators)
+    return None
+
+
+def _spans_everything(vector: RatMatrix, factors: Sequence[Sequence[Sequence[int]]]) -> bool:
+    """Whether the spin of the column vector, read as a row x, under
+    x -> x f for every factor f is all of Q^n."""
+    n = vector.rows
+    start = xl.integer_row(vector.entries)
+    return _spin_dim(start, lambda row: (xl.matmul_rows([row], f)[0] for f in factors), n) == n
+
+
+def is_irreducible(t: MatrixTuple) -> bool:
+    """Whether the generated unital algebra is M_n(Q) (Burnside's
+    criterion), by Norton's test (``norton_spins``); the Burnside closure
+    (``algebra_dim``) runs only when no claimed eigenvalue gives the test
+    its theta."""
+    spins = norton_spins(t)
+    if spins is None:
+        return algebra_dim(t) == t.n**2
+    return all(spins)
 
 
 def corner_differential(ls: Sequence[RatMatrix], bs: Sequence[RatMatrix], mode: str) -> RatMatrix:
@@ -340,14 +423,20 @@ def report(t: MatrixTuple) -> dict:
     out["jnfs"] = None if jt is None else jt.to_json()
     if wrong:
         out["wrong_spectrum"] = wrong[0]
-    cdim = centralizer_dim(t)
+    # A full spin in Norton's test makes the centralizer the scalars with
+    # no elimination (see ``norton_spins``).
+    spins = norton_spins(t)
+    cdim = 1 if spins is not None and any(spins) else centralizer_dim(t)
     out["centralizer_dim"] = cdim
     out["trivial_centralizer"] = cdim == 1
     out["commutator_map_surjective"] = cdim == 1  # trace duality, as in ``commut_surjective``
-    # A non-scalar matrix commuting with every generator commutes with the
-    # whole generated algebra, which therefore is not M_n(Q), whose
-    # commutant is the scalars: run the Burnside closure only when cdim is 1.
-    out["irreducible"] = cdim == 1 and is_irreducible(t)
+    if spins is not None:
+        out["irreducible"] = all(spins)
+    else:
+        # A non-scalar matrix commuting with every generator commutes with
+        # the whole generated algebra, which therefore is not M_n(Q), whose
+        # commutant is the scalars: run the Burnside closure only when cdim is 1.
+        out["irreducible"] = cdim == 1 and algebra_dim(t) == t.n**2
     out["orbit_dim"] = t.n**2 - cdim
     # The same duality gives the tangent dimension without building the
     # corner differential: when the tuple closes, block j of the product

@@ -60,3 +60,11 @@ def random_invertible(rng: random.Random, n: int) -> RatMatrix:
 def random_additive_tuple(rng: random.Random, n: int, count: int) -> MatrixTuple:
     mats = [random_matrix(rng, n) for _ in range(count)]
     return MatrixTuple("additive", mats, [[0] * n for _ in range(count)])
+
+
+def unimodular(rng: random.Random, n: int) -> RatMatrix:
+    """L U with unit triangular factors, entries of both in {-1, 0, 1}: an
+    integer matrix whose inverse is one too."""
+    lower = [[int(i == j) if i <= j else rng.randint(-1, 1) for j in range(n)] for i in range(n)]
+    upper = [[int(i == j) if i >= j else rng.randint(-1, 1) for j in range(n)] for i in range(n)]
+    return RatMatrix.from_rows(lower) @ RatMatrix.from_rows(upper)

@@ -99,6 +99,35 @@ def frontier_algebra_dim(mats: list[list[list[Fraction]]]) -> int:
     return len(basis)
 
 
+def adjugate(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+    """adj(a)[i][j] = (-1)^(i+j) det(a without row j and column i), so
+    a adj(a) = adj(a) a = det(a) I.  When a has rank n - 1, adj(a) has rank
+    1: its nonzero columns span ker a and its nonzero rows span ker a^T."""
+    n = len(rows)
+    if n == 1:
+        return [[Fraction(1)]]
+    return [
+        [
+            (-1) ** (i + j)
+            * det_cofactor([[rows[r][c] for c in range(n) if c != i] for r in range(n) if r != j])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def frontier_spin_dim(vector: list[Fraction], mats: list[list[list[Fraction]]]) -> int:
+    """Dimension of the smallest subspace that contains vector and that
+    every matrix keeps (x -> m x): multiply each vector found new in the
+    last round by every matrix, and stop when a round finds nothing new."""
+    basis: dict[int, list[Fraction]] = {}
+    frontier = [vector] if _insert(basis, vector) else []
+    while frontier:
+        images = ([sum((a * x for a, x in zip(row, v)), Fraction(0)) for row in m] for v in frontier for m in mats)
+        frontier = [u for u in images if _insert(basis, u)]
+    return len(basis)
+
+
 def scaled_full_witnesses(s, den: int) -> set:
     """The whole spectrum scaled by t/den for t = 1..den-1, each as
     (size, parts) with the parts of a ``RelationWitness``.  With den the

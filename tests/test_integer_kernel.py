@@ -4,9 +4,10 @@ The centralizer, commutator-map and intertwiner checks write their
 operators down entry by entry over the integers, scaling each matrix (or
 each pair of matrices) to clear denominators.  Here they are compared with
 the operator written from its entry formula over Fraction
-(``oracles.intertwiner_system``), and the Burnside closure with the span of
-every word of length at most n^2, ranked by cofactor minors, and with the
-frontier closure over a Fraction echelon (``oracles.frontier_algebra_dim``).
+(``oracles.intertwiner_system``), and the Burnside closure (``algebra_dim``)
+and the irreducibility verdict with the span of every word of length at
+most n^2, ranked by cofactor minors, and with the frontier closure over a
+Fraction echelon (``oracles.frontier_algebra_dim``).
 The seeded tuples give each matrix its own non-integer denominators, so a
 scale chosen for the wrong set of matrices changes the answer.
 """
@@ -139,6 +140,7 @@ def test_is_irreducible_matches_word_span(seed, count, structure):
     # I generates nothing new in a unital algebra; it makes count 1 a valid tuple
     t = MatrixTuple("additive", [*mats, RatMatrix.identity(2)], [[0, 0]] * (count + 1))
     span = word_span_rank(mats)
+    assert tl.algebra_dim(t) == span
     assert tl.is_irreducible(t) == (span == 4)
     if structure == "triangular":
         assert span < 4
@@ -156,6 +158,7 @@ def test_is_irreducible_needs_words_of_length_three(seed):
     p = RatMatrix.from_rows([[0, weights[0], 0], [0, 0, weights[1]], [weights[2], 0, 0]])
     t = MatrixTuple("additive", [d, p], [[0] * 3] * 2)
     assert word_span_rank([d, p]) == 9
+    assert tl.algebra_dim(t) == 9
     assert tl.is_irreducible(t)
 
 
@@ -181,6 +184,7 @@ def test_is_irreducible_matches_frontier_closure(seed, n, structure, mode):
         mats = [invertible_shift(m) for m in mats]
     t = MatrixTuple(mode, mats, [[1] * n] * count)
     dim = frontier_algebra_dim([m.row_lists() for m in mats])
+    assert tl.algebra_dim(t) == dim
     assert tl.is_irreducible(t) == (dim == n * n)
     if structure != "generic":
         assert dim < n * n
@@ -192,6 +196,7 @@ def test_is_irreducible_when_the_basis_fills_inside_a_generator_loop():
     rows = ([[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, 2]], [[1, 1], [1, 1]])
     mats = [RatMatrix.from_rows(r) for r in rows]
     assert frontier_algebra_dim([m.row_lists() for m in mats]) == 4
+    assert tl.algebra_dim(MatrixTuple("additive", mats, [[0, 0]] * 4)) == 4
     assert tl.is_irreducible(MatrixTuple("additive", mats, [[0, 0]] * 4))
     assert not tl.is_irreducible(MatrixTuple("additive", [mats[0], mats[2]], [[0, 0]] * 2))
 

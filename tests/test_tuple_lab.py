@@ -16,8 +16,16 @@ from deligne_simpson.workbench import (
     build_split_sum_quadruple,
 )
 
-from conftest import random_additive_tuple, random_invertible, random_matrix
-from oracles import commutation_system, entrywise_product, minor_rank
+from conftest import random_additive_tuple, random_invertible, random_matrix, unimodular
+from oracles import (
+    adjugate,
+    commutation_system,
+    det_cofactor,
+    entrywise_product,
+    frontier_algebra_dim,
+    frontier_spin_dim,
+    minor_rank,
+)
 
 
 def identity_tuple(n=2, count=3):
@@ -254,28 +262,168 @@ def test_report_checks_closure_once(monkeypatch):
     assert rep["tangent_dim"] is None and rep["tangent_dim_is_formal"] is None
 
 
-def test_report_runs_the_burnside_closure_only_at_trivial_centralizer(monkeypatch):
-    calls = []
-    closure = tl.is_irreducible
-    monkeypatch.setattr(tl, "is_irreducible", lambda t: calls.append(t) or closure(t))
+def count_routes(monkeypatch):
+    """Lists that record each tuple given to the Burnside closure and to the
+    stacked centralizer elimination."""
+    closures, eliminations = [], []
+    closure, stacked = tl.algebra_dim, tl.centralizer_dim
+    monkeypatch.setattr(tl, "algebra_dim", lambda t: closures.append(t) or closure(t))
+    monkeypatch.setattr(tl, "centralizer_dim", lambda t: eliminations.append(t) or stacked(t))
+    return closures, eliminations
+
+
+def with_claims(t, value):
+    """t with every claimed eigenvalue replaced by one value."""
+    return MatrixTuple(t.mode, t.matrices, [[value] * t.n] * len(t))
+
+
+def test_report_routes_between_norton_the_closure_and_the_stacked_centralizer(monkeypatch):
     quad = build_trivial_centralizer_quadruple()
-    assert tl.report(quad)["irreducible"] is False
-    assert calls == [quad]
-    # centralizer dims 2 and 9: reducible without the closure
-    for t in (build_split_sum_quadruple(), identity_tuple(3, 2)):
-        rep = tl.report(t)
-        assert rep["centralizer_dim"] > 1 and rep["irreducible"] is False
-    assert calls == [quad]
+    split = build_split_sum_quadruple()
     triple = build_first_block_triple()
-    assert tl.report(triple)["irreducible"] is True
-    assert calls == [quad, triple]
+    # spins of Norton's test, or None when no claimed lam has
+    # rank(M_j - lam I) = n - 1 (4 is no eigenvalue, and every M of the
+    # identity tuple has rank(M - I) = 0)
+    cases = [
+        (quad, (False, True)),
+        (split, (False, False)),
+        (triple, (True, True)),
+        (with_claims(quad, 4), None),
+        (with_claims(split, 4), None),
+        (with_claims(triple, 4), None),
+        (identity_tuple(3, 2), None),
+    ]
+    expected = [
+        (
+            frontier_algebra_dim([m.row_lists() for m in t.matrices]) == t.n**2,
+            tl.centralizer_dim_of(t.matrices),
+        )
+        for t, _ in cases
+    ]
+    closures, eliminations = count_routes(monkeypatch)
+    for (t, spins), (irreducible, cdim) in zip(cases, expected):
+        assert tl.norton_spins(t) == spins
+        del closures[:], eliminations[:]
+        rep = tl.report(t)
+        assert (rep["irreducible"], rep["centralizer_dim"]) == (irreducible, cdim)
+        # the closure runs only without a theta and at trivial centralizer
+        assert closures == ([t] if spins is None and cdim == 1 else [])
+        # the elimination is skipped exactly when a spin is full
+        assert eliminations == ([] if spins is not None and any(spins) else [t])
+    assert [irreducible for irreducible, _ in expected] == [False, False, True] * 2 + [False]
+    assert [cdim for _, cdim in expected] == [1, 2, 1] * 2 + [9]
 
 
-def closed_triangular_tuple(rng, mode, n, count):
-    """A closed tuple of upper-triangular matrices conjugated by one random
-    g, claiming each diagonal as the spectrum.  The closing matrix is
-    triangular too, so every claim is right.  Diagonals draw from few values
-    and off-diagonals are often 0, so eigenvalues repeat with varied blocks."""
+def block_triangular_claims(rng, n, count):
+    """A tuple of count additive-mode matrices, block upper triangular with
+    one or two diagonal blocks, conjugated by one random unimodular g so
+    that the entries stay integers.  Each matrix's diagonal blocks are
+    upper triangular with diagonal entries from a small pool (always in
+    M_1), or dense random; now and then every off-diagonal block is 0, a
+    direct sum.  A
+    triangular matrix claims its diagonal in shuffled order, or, now and
+    then, a shifted one that is no spectrum; a dense one claims 0s."""
+    cut = rng.randint(1, n)  # n: one block
+    blocks = [(0, cut), (cut, n)] if cut < n else [(0, n)]
+    decoupled = rng.random() < 0.15
+    mats, claims = [], []
+    for j in range(count):
+        triangular = j == 0 or rng.random() < 0.15
+        rows = [[F(0)] * n for _ in range(n)]
+        for a, b in blocks:
+            for i in range(a, b):
+                for k in range(a if not triangular else i, n if not decoupled else b):
+                    rows[i][k] = F(rng.randint(-2, 2))
+                if triangular:
+                    rows[i][i] = F(rng.choice([0, 1, -1, 2]))
+        mats.append(RatMatrix.from_rows(rows))
+        if triangular:
+            diagonal = [rows[i][i] for i in range(n)]
+            rng.shuffle(diagonal)
+            claims.append([x + 7 for x in diagonal] if rng.random() < 0.2 else diagonal)
+        else:
+            claims.append([0] * n)
+    return tl.conjugate(MatrixTuple("additive", mats, claims), unimodular(rng, n))
+
+
+def oracle_spins(t):
+    """Norton's spins by the dense references, for theta = M_j - lam I chosen
+    as ``norton_spins`` documents: rank n - 1 means det 0 and a nonzero
+    adjugate, whose nonzero columns span ker theta and rows ker theta^T."""
+    mats = [m.row_lists() for m in t.matrices]
+    transposes = [[list(col) for col in zip(*m)] for m in mats]
+    for m, eigs in zip(mats, t.eigenvalue_lists):
+        for lam in dict.fromkeys(eigs):
+            theta = [[x - lam * (i == k) for k, x in enumerate(row)] for i, row in enumerate(m)]
+            if det_cofactor(theta) != 0:
+                continue
+            adj = adjugate(theta)
+            v = next((list(col) for col in zip(*adj) if any(col)), None)
+            if v is None:
+                continue
+            w = next(row for row in adj if any(row))
+            return (frontier_spin_dim(v, mats) == t.n, frontier_spin_dim(w, transposes) == t.n)
+    return None
+
+
+def test_norton_route_matches_the_dense_references(monkeypatch):
+    """Seeded block-triangular tuples, n 2-6: Norton's verdict against the
+    generated algebra's dimension and report's centralizer against the
+    stacked elimination, with both spins full, only v's, only w's, neither,
+    and no theta (the fallback), each drawn at least 5 times."""
+    rng = random.Random(2)
+    seen = {"both": 0, "only v": 0, "only w": 0, "neither": 0, "no theta": 0}
+    closures, eliminations = count_routes(monkeypatch)
+    for _ in range(48):
+        n = rng.randint(2, 6)
+        t = block_triangular_claims(rng, n, rng.randint(2, 3))
+        spins = oracle_spins(t)
+        case = "no theta" if spins is None else {
+            (True, True): "both", (True, False): "only v", (False, True): "only w", (False, False): "neither"
+        }[spins]
+        seen[case] += 1
+        irreducible = frontier_algebra_dim([m.row_lists() for m in t.matrices]) == n * n
+        cdim = tl.centralizer_dim_of(t.matrices)
+        assert tl.norton_spins(t) == spins
+        assert tl.is_irreducible(t) == irreducible
+        del closures[:], eliminations[:]
+        rep = tl.report(t)
+        assert (rep["irreducible"], rep["centralizer_dim"]) == (irreducible, cdim)
+        assert closures == ([t] if spins is None and cdim == 1 else [])
+        assert eliminations == ([] if spins is not None and any(spins) else [t])
+    assert min(seen.values()) >= 5, seen
+
+
+def test_report_at_n10_decides_irreducibility_without_the_closure(monkeypatch):
+    """Closed tuples built as the benchmark builds its dense and triangular
+    cells, at n = 10, where the Burnside closure takes seconds: two regular
+    Jordan matrices conjugated by unimodular matrices and closed by minus
+    their sum (which claims a wrong spectrum), and an upper-triangular
+    triple closed the same way and conjugated by one unimodular matrix."""
+    rng = random.Random(10)
+    n = 10
+    mats, claims = [], []
+    for values, sizes in (([2, -1, 0], [4, 3, 3]), ([-2, 1], [6, 4])):
+        g = unimodular(rng, n)
+        regular = Jnf([(str(v), [size]) for v, size in zip(values, sizes)])
+        mats.append(g @ tl.jordan_realization(regular) @ xl.inverse(g))
+        claims.append([v for v, size in zip(values, sizes) for _ in range(size)])
+    mats.append(-(mats[0] + mats[1]))
+    jordan = MatrixTuple("additive", mats, [*claims, [0] * n])
+    triangular = closed_triangular_tuple(rng, "additive", n, 3, unimodular(rng, n))
+    assert tl.verify_closure(jordan) and tl.verify_closure(triangular)
+    closures, _ = count_routes(monkeypatch)
+    assert tl.report(jordan)["irreducible"] is True
+    assert tl.report(triangular)["irreducible"] is False
+    assert closures == []
+
+
+def closed_triangular_tuple(rng, mode, n, count, g=None):
+    """A closed tuple of upper-triangular matrices conjugated by g (by
+    default one random invertible matrix), claiming each diagonal as the
+    spectrum.  The closing matrix is triangular too, so every claim is
+    right.  Diagonals draw from few values and off-diagonals are often 0,
+    so eigenvalues repeat with varied blocks."""
     values = [F(1), F(-1), F(2)] if mode == "multiplicative" else [F(0), F(1), F(-2)]
 
     def triangular():
@@ -292,7 +440,7 @@ def closed_triangular_tuple(rng, mode, n, count):
     else:
         mats.append(-sum(mats[1:], mats[0]))
     claims = [[m.row(i)[i] for i in range(n)] for m in mats]
-    return tl.conjugate(MatrixTuple(mode, mats, claims), random_invertible(rng, n))
+    return tl.conjugate(MatrixTuple(mode, mats, claims), g or random_invertible(rng, n))
 
 
 TRIANGULAR_CASES = [
@@ -389,7 +537,7 @@ def test_tangent_dim_matches_centralizer_oracle_on_seeded_tuples(seed, mode, n, 
     # report takes the same number from the centralizers, without the differential
     rep = tl.report(t)
     assert rep["tangent_dim"] == dense
-    assert rep["irreducible"] == tl.is_irreducible(t)
+    assert rep["irreducible"] == (tl.algebra_dim(t) == t.n**2)
 
 
 def test_tangent_dim_matches_centralizer_oracle_on_shipped_tuples():
@@ -401,7 +549,7 @@ def test_tangent_dim_matches_centralizer_oracle_on_shipped_tuples():
         assert dense == tangent_oracle(t), path.name
         rep = tl.report(t)
         assert rep["tangent_dim"] == dense, path.name
-        assert rep["irreducible"] == tl.is_irreducible(t), path.name
+        assert rep["irreducible"] == (tl.algebra_dim(t) == t.n**2), path.name
 
 
 @pytest.mark.parametrize("mode", ["multiplicative", "additive"])
