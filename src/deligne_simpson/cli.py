@@ -270,7 +270,3 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # anything non-input is an internal failure
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

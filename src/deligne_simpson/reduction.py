@@ -58,12 +58,6 @@ class JnfTuple:
         object.__setattr__(self, "jnfs", items)
         object.__setattr__(self, "n", n)
 
-    def __len__(self) -> int:
-        return len(self.jnfs)
-
-    def __iter__(self):
-        return iter(self.jnfs)
-
     def __repr__(self) -> str:
         return f"JnfTuple(n={self.n}, {list(self.jnfs)!r})"
 

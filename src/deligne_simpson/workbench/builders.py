@@ -37,7 +37,6 @@ from .. import exact_linalg as xl
 from ..exact_linalg import RatMatrix, rat
 from ..jnf import Jnf
 from ..spectra import (
-    ADDITIVE,
     MULTIPLICATIVE,
     FormalScalar,
     SpectrumAssignment,
@@ -83,13 +82,11 @@ def _prime_exponents(k: int) -> dict[str, int]:
     return out
 
 
-def scalar_from_rational(x: Fraction, mode: str = MULTIPLICATIVE) -> FormalScalar:
+def scalar_from_rational(x: Fraction) -> FormalScalar:
     """Encode a nonzero rational exactly: prime factors become symbol
     exponents and the sign becomes phase 1/2, so multiplicative relations
     between rationals are exactly the visible exponent relations."""
     x = rat(x)
-    if mode == ADDITIVE:
-        return FormalScalar.additive({}, x)
     if x == 0:
         raise ValueError("0 has no multiplicative encoding")
     exponents: dict[str, int] = {}
@@ -100,17 +97,15 @@ def scalar_from_rational(x: Fraction, mode: str = MULTIPLICATIVE) -> FormalScala
     return FormalScalar.multiplicative(exponents, Fraction(1, 2) if x < 0 else 0)
 
 
-def spectrum_of_rationals(
-    eigenvalue_lists: Sequence[Sequence[Fraction]], mode: str = MULTIPLICATIVE
-) -> SpectrumAssignment:
-    """Exact symbolic spectrum of concrete rational eigenvalue lists."""
+def spectrum_of_rationals(eigenvalue_lists: Sequence[Sequence[Fraction]]) -> SpectrumAssignment:
+    """Exact multiplicative spectrum of concrete rational eigenvalue lists."""
     classes = []
     for lst in eigenvalue_lists:
         counts: dict[Fraction, int] = {}
         for v in lst:
             v = rat(v)
             counts[v] = counts.get(v, 0) + 1
-        classes.append([(scalar_from_rational(v, mode), c) for v, c in counts.items()])
+        classes.append([(scalar_from_rational(v), c) for v, c in counts.items()])
     return SpectrumAssignment(classes)
 
 

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 from ..jnf import Jnf
 from ..reduction import JnfTuple
-from ..spectra import ADDITIVE, FormalScalar, RelationWitness, SpectrumAssignment
+from ..spectra import FormalScalar, RelationWitness, SpectrumAssignment
 from ..tuple_lab import MatrixTuple
 from . import builders
 
@@ -60,12 +60,11 @@ class Fixture:
     aux_spectra: Mapping[str, SpectrumAssignment] = field(default_factory=dict)
     matrix_tuples: Mapping[str, MatrixTuple] = field(default_factory=dict)
     expectations: tuple[Expectation, ...] = ()
-    notes: tuple[str, ...] = ()
 
     def target(self, name: str) -> JnfTuple | SpectrumAssignment | MatrixTuple:
         """The object an expectation's target names: "main" or "aux:X" (a
         JNF tuple), "spectrum" or "spectrum:X", or "tuple:X"."""
-        if name in ("", "main"):
+        if name == "main":
             return self.jnf_tuple
         if name == "spectrum":
             if self.spectrum is None:
@@ -89,6 +88,13 @@ def _mult(exponents=None, phase=0) -> FormalScalar:
 
 
 def _rigid_example() -> Fixture:
+    """Example 1, a rigid quadruple of 4x4 classes.  Its semidirect stratum
+    has dimension 15 = 1 (fixed diagonal blocks modulo conjugation) + 15
+    (conjugation) - 1 (stabilizer), its direct-sum stratum 16 = 8 (3 + 5
+    from the two block varieties) + 15 (conjugation) - 7 (block-diagonal
+    subgroup), and its doubled stratum 12 = 15 - 3, a single conjugation
+    orbit.  The formal tangent dimension 16 at the direct-sum point is a
+    derived observation; smoothness of the variety there is not asserted."""
     diag22 = Jnf.diagonal([2, 2])
     j_star = JnfTuple([diag22, diag22, diag22, Jnf([("e1", [2, 1, 1])])])
     j_star2 = JnfTuple([diag22, diag22, diag22, Jnf.diagonal([3, 1])])
@@ -183,19 +189,13 @@ def _rigid_example() -> Fixture:
             "doubled_point": y_point,
         },
         expectations=expectations,
-        notes=(
-            "semidirect stratum dimension 15 = 1 (fixed diagonal blocks modulo conjugation)"
-            " + 15 (conjugation) - 1 (stabilizer)",
-            "direct-sum stratum dimension 16 = 8 (3 + 5 from the two block varieties)"
-            " + 15 (conjugation) - 7 (block-diagonal subgroup)",
-            "doubled stratum dimension 12 = 15 - 3: a single conjugation orbit",
-            "the formal tangent dimension 16 at the direct-sum point is a derived"
-            " observation; smoothness of the variety there is not asserted",
-        ),
     )
 
 
 def _tq_example() -> Fixture:
+    """Example 2, a triple of 4x4 classes with a non-generic spectrum.  The
+    full triple space modulo the conjugation subspace is one-dimensional;
+    any representative outside the subspace yields a trivial centralizer."""
     j = Jnf.diagonal([2, 1, 1])
     jt = JnfTuple([j, j, j])
 
@@ -255,14 +255,13 @@ def _tq_example() -> Fixture:
             "block_diagonal_triple": block_diag,
         },
         expectations=expectations,
-        notes=(
-            "the full triple space modulo the conjugation subspace is one-dimensional;"
-            " any representative outside the subspace yields a trivial centralizer",
-        ),
     )
 
 
 def _double_block_example() -> Fixture:
+    """Example 3, a triple of 4x4 classes with a relatively generic spectrum.
+    The variety has the expected dimension 15 although no tuple in it has a
+    trivial centralizer."""
     jt = JnfTuple([
         Jnf([("a", [2]), ("b", [2])]),
         Jnf([("f", [2]), ("g", [1, 1])]),
@@ -293,14 +292,14 @@ def _double_block_example() -> Fixture:
         jnf_tuple=jt,
         spectrum=spectrum,
         expectations=expectations,
-        notes=(
-            "the variety has the expected dimension 15 although no tuple"
-            " in it has a trivial centralizer",
-        ),
     )
 
 
 def _split_sum_example() -> Fixture:
+    """Example 4, a quadruple of 3x3 classes with a non-generic spectrum.  The
+    split-sum stratum has dimension 9 = 5 (block pairs) + 8 (conjugation) -
+    4 (block stabilizer); tuples with trivial centralizer form an
+    8-dimensional stratum below it."""
     jt = JnfTuple([Jnf.diagonal([2, 1])] * 4)
     a = _mult({"a": 1}); b = _mult({"b": 1}); c = _mult({"c": 1})
     d = _mult({"a": -1, "b": -1, "c": -1})
@@ -354,16 +353,14 @@ def _split_sum_example() -> Fixture:
         spectrum=spectrum,
         matrix_tuples={"first_quadruple": first, "second_quadruple": second},
         expectations=expectations,
-        notes=(
-            "split-sum stratum dimension 9 = 5 (block pairs) + 8 (conjugation)"
-            " - 4 (block stabilizer)",
-            "tuples with trivial centralizer form an 8-dimensional stratum, below"
-            " the 9-dimensional split-sum stratum",
-        ),
     )
 
 
 def _zero_index_example() -> Fixture:
+    """Example 5, a quadruple of 4x4 classes of index 0.  The direct-sum
+    family has dimension 18 = 10 (two 5-dimensional component varieties) +
+    15 (conjugation) - 7 (block-diagonal subgroup), above the expected
+    dimension 17."""
     jt = JnfTuple([Jnf.diagonal([2, 2])] * 4)
     jt_component = JnfTuple([Jnf.diagonal([1, 1])] * 4)
     first, second, pair = builders.build_zero_index_pair()
@@ -403,11 +400,6 @@ def _zero_index_example() -> Fixture:
             "direct_sum_pair": pair,
         },
         expectations=expectations,
-        notes=(
-            "direct-sum family dimension 18 = 10 (two 5-dimensional component"
-            " varieties) + 15 (conjugation) - 7 (block-diagonal subgroup), above"
-            " the expected dimension 17",
-        ),
     )
 
 

@@ -141,6 +141,16 @@ def test_analyze_malformed_inputs(tmp_path, capsys):
     )
     code, _, err = run(capsys, "analyze", "-i", str(mismatched))
     assert code == 2 and "does not match" in err
+    no_jnfs = tmp_path / "no_jnfs.json"
+    no_jnfs.write_text(dumps({"spectrum": None}), encoding="utf-8")
+    code, _, err = run(capsys, "analyze", "-i", str(no_jnfs))
+    assert code == 2 and err == "error: analyze input needs a 'jnfs' key\n"
+    one_class_short = json.loads((FIXTURES / "example1.analyze.json").read_text(encoding="utf-8"))
+    one_class_short["spectrum"]["classes"].pop()
+    short = tmp_path / "short.json"
+    short.write_text(dumps(one_class_short), encoding="utf-8")
+    code, _, err = run(capsys, "analyze", "-i", str(short))
+    assert code == 2 and err == "error: spectrum and JNF tuple have different class counts\n"
     for spectrum in ([1], "x", {"classes": [[{"scalar": [1], "mult": 1}]]}):
         payload = json.loads((FIXTURES / "example1.analyze.json").read_text(encoding="utf-8"))
         payload["spectrum"] = spectrum
@@ -148,6 +158,17 @@ def test_analyze_malformed_inputs(tmp_path, capsys):
         path.write_text(dumps(payload), encoding="utf-8")
         code, _, err = run(capsys, "analyze", "-i", str(path))
         assert code == 2 and "bad spectrum" in err
+
+
+def test_analyze_text_reports_a_violated_global_condition(tmp_path, capsys):
+    # eigenvalues x, 1 in both classes: the product of all of them is x^2, not 1
+    cls_ = [{"scalar": {"exponents": e, "phase": "0"}, "mult": 1} for e in ({"x": "1"}, {})]
+    payload = {"jnfs": [{"multiplicities": [1, 1]}] * 2, "spectrum": {"mode": "multiplicative", "classes": [cls_] * 2}}
+    path = tmp_path / "violated.json"
+    path.write_text(dumps(payload), encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "-i", str(path))
+    assert code == 0 and err == ""
+    assert "genericity: global product-1 / sum-0 condition VIOLATED\n" in out
 
 
 def test_analyze_spectrum_multiplicities_must_match_the_jnfs(tmp_path, capsys):
@@ -378,14 +399,18 @@ def test_analyze_searches_a_large_spectrum_with_few_combinations(tmp_path, capsy
     assert [w["size"] for w in genericity["witnesses"]] == list(range(1, 14))
 
 
-def test_analyze_skips_oversized_spectra(tmp_path):
-    # 22 classes {a_j, 1/a_j} at n = 2: 2**22 combinations of size 1, which
-    # an unbudgeted search takes minutes to walk
+def reciprocal_pairs_input() -> dict:
+    """22 classes {a_j, 1/a_j} at n = 2: 2**22 combinations of size 1, which
+    an unbudgeted search takes minutes to walk."""
     classes = [
         [{"scalar": {"exponents": {f"a{j}": e}, "phase": "0"}, "mult": 1} for e in ("1", "-1")]
         for j in range(22)
     ]
-    payload = {"jnfs": [{"multiplicities": [1, 1]}] * 22, "spectrum": {"mode": "multiplicative", "classes": classes}}
+    return {"jnfs": [{"multiplicities": [1, 1]}] * 22, "spectrum": {"mode": "multiplicative", "classes": classes}}
+
+
+def test_analyze_skips_oversized_spectra(tmp_path):
+    payload = reciprocal_pairs_input()
     path = tmp_path / "pairs.json"
     path.write_text(dumps(payload), encoding="utf-8")
     assert sp.relation_choices(sp.SpectrumAssignment.from_json(payload["spectrum"]), 2**23) == 2**22
@@ -398,6 +423,17 @@ def test_analyze_skips_oversized_spectra(tmp_path):
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["genericity"] == {"skipped": f"more than {GENERICITY_BUDGET} combination steps"}
     assert "skipping relation enumeration" in proc.stderr
+
+
+def test_analyze_text_reports_a_skipped_genericity_search(tmp_path, capsys):
+    path = tmp_path / "pairs.json"
+    path.write_text(dumps(reciprocal_pairs_input()), encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "-i", str(path))
+    assert code == 0
+    assert f"genericity: skipped (more than {GENERICITY_BUDGET} combination steps)\n" in out
+    assert err == (
+        f"warning: more than {GENERICITY_BUDGET} combination steps; skipping relation enumeration\n"
+    )
 
 
 # Two classes at the size cap; 300 classes at n = 1000, whose 999
@@ -425,6 +461,18 @@ def test_verify_example4(capsys):
     assert payload["irreducible"] is False
     code, out, _ = run(capsys, "verify", "-i", path)
     assert code == 0 and "centralizer_dim = 1" in out
+
+
+def test_verify_text_reports_rejected_claims(tmp_path, capsys):
+    data = shipped("example4_first_quadruple.verify.json")
+    data["eigenvalues"][0][0] = "7"
+    path = tmp_path / "wrong_claim.json"
+    path.write_text(dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "-i", str(path))
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert "jnf: claimed eigenvalues rejected (7 is not an eigenvalue)" in lines
+    assert not any(line.startswith("expected_dim") for line in lines)
 
 
 def test_corpus_cli(capsys):

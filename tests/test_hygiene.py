@@ -3,8 +3,9 @@
 The package is standard-library only and exact: every absolute import names
 the package itself or a standard-library module, and no float literal or
 ``float(`` call appears anywhere in ``src/``.  Value types are frozen
-dataclasses, so no class hand-writes ``__setattr__``.  Every function the
-benchmark's tracer wraps still exists under the name it uses.
+dataclasses, so no class hand-writes ``__setattr__``.  Every name a module
+imports is used there (``__init__`` modules import to re-export).  Every
+function the benchmark's tracer wraps still exists under the name it uses.
 """
 
 import ast
@@ -59,6 +60,24 @@ def test_no_class_defines_setattr():
         if isinstance(node, ast.ClassDef)
         and any(isinstance(item, ast.FunctionDef) and item.name == "__setattr__" for item in node.body)
     ]
+    assert not offenders
+
+
+def test_every_imported_name_is_used():
+    offenders = []
+    for path, tree in source_trees():
+        if path.name == "__init__.py":
+            continue
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        offenders += [f"{path}:{line} {name}" for name, line in imported.items() if name not in used]
     assert not offenders
 
 

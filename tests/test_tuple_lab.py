@@ -76,6 +76,8 @@ def test_class_membership_examples():
     assert tl.class_membership(m, Jnf([("2", [1]), ("7", [1])]))
     scalar = RatMatrix.identity(2).scale(2)
     assert not tl.class_membership(scalar, Jnf([("2", [2])]))
+    # 3 is no eigenvalue of m: a plain False, not a WrongSpectrumError
+    assert tl.class_membership(m, Jnf([("3", [1]), ("7", [1])])) is False
     quad = build_trivial_centralizer_quadruple()
     m4 = quad.matrices[3]
     assert tl.class_membership(m4, Jnf([("1/30", [1]), ("1", [1, 1])]))
@@ -209,6 +211,8 @@ def test_matrix_tuple_validation():
         MatrixTuple("multiplicative", [ident, ident], [[0, 1], [1, 1]])
     with pytest.raises(ValueError, match="length 2"):
         MatrixTuple("multiplicative", [ident, ident], [[1], [1, 1]])
+    with pytest.raises(ValueError, match="one eigenvalue list per matrix"):
+        MatrixTuple("multiplicative", [ident, ident, ident], [[1, 1], [1, 1]])
     with pytest.raises(ValueError, match="square"):
         MatrixTuple("multiplicative", [ident, RatMatrix.identity(3)], [[1, 1], [1, 1, 1]])
     for mode in ("multiplicative", "additive"):

@@ -241,7 +241,7 @@ def test_fixture_lookup_and_validation():
     assert fx.target("spectrum") is fx.spectrum
     assert fx.target("spectrum:additive") is fx.aux_spectra["additive"]
     assert fx.target("tuple:rigid_quadruple") is fx.matrix_tuples["rigid_quadruple"]
-    for unknown in ("aux:nope", "tuple:nope", "matrix:rigid_quadruple"):
+    for unknown in ("", "aux:nope", "tuple:nope", "matrix:rigid_quadruple"):
         with pytest.raises(KeyError):
             fx.target(unknown)
     with pytest.raises(KeyError):
