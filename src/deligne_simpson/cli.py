@@ -192,7 +192,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    names = [args.example] if args.example else None
+    names = None if args.example is None else [args.example]
     if names and names[0] not in {f.name for f in builtin_corpus()}:
         raise InputError(f"unknown example {args.example!r}")
     results = run_corpus(names)

@@ -14,7 +14,9 @@ Vectorization convention: an n x n matrix X maps to the length n**2 vector
 vec(X) listing entries row by row (row-major).  Every operator matrix comes
 from one writer, ``intertwiner_rows``: X -> AX - XB written down entry by
 entry in O(n^4).  The commutator map is its case A = B, left and right
-multiplication by A its cases B = 0 and (0, -A).
+multiplication by A its cases B = 0 and (0, -A).  ``hom_dim`` is the one
+elimination of such operators stacked over a tuple: the dimension of the
+intertwiners between two tuples, or of a tuple's centralizer.
 
 Serialization: rationals are strings "p/q" or "p" with the sign on the
 numerator; matrices are JSON arrays of arrays of such strings.  ``rat``,
@@ -420,12 +422,25 @@ def intertwiner_rows(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]
     return rows
 
 
-def integer_intertwiner_rows(a: RatMatrix, b: RatMatrix) -> list[list[int]]:
-    """``intertwiner_rows`` of s*a and s*b for s the lcm of the denominators
-    of both.  The scale must be common: scaling a and b apart would change
-    the map X -> aX - Xb, not just multiply it."""
-    scale = denominator_lcm([a, b])
-    return intertwiner_rows(integer_matrix(a, scale), integer_matrix(b, scale))
+def hom_dim(a: Sequence[RatMatrix], b: Sequence[RatMatrix]) -> int:
+    """dim over Q of {Y : A_j Y = Y B_j for every j} (intertwiners b -> a);
+    with a = b, the centralizer of the tuple.
+
+    One stacked elimination of the ``intertwiner_rows`` of each pair, scaled
+    to integers by one s per pair, the lcm of the denominators of both: s
+    must be common, since scaling A_j and B_j apart would change the map
+    Y -> A_j Y - Y B_j, not just multiply it.  When the matrices are equal, I
+    is in the kernel, so the rank stops at n^2 - 1.
+    """
+    n2 = a[0].rows ** 2
+    pairs = list(zip(a, b, strict=True))  # checked whole: the rank can stop early
+    bound = n2 - 1 if all(x == y for x, y in pairs) else n2
+
+    def pair_rows(x: RatMatrix, y: RatMatrix) -> list[list[int]]:
+        s = denominator_lcm([x, y])
+        return intertwiner_rows(integer_matrix(x, s), integer_matrix(y, s))
+
+    return n2 - integer_rank((row for x, y in pairs for row in pair_rows(x, y)), bound)
 
 
 def intertwiner_matrix(a: RatMatrix, b: RatMatrix) -> RatMatrix:

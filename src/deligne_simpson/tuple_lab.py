@@ -13,8 +13,9 @@ The checks provided:
 * ``verify_closure`` -- exact product-is-I / sum-is-0 test;
 * ``jnf_of`` / ``class_membership`` -- Jordan structure from the rank
   sequence rank((m - lam I)^k);
-* ``centralizer_dim`` -- kernel dimension of the stacked commutator maps
-  on the n^2-dimensional matrix space;
+* ``centralizer_dim`` -- dim C(M) of the tuple, ``exact_linalg.hom_dim(M, M)``:
+  the kernel dimension of the stacked commutator maps on the
+  n^2-dimensional matrix space;
 * ``commut_surjective`` -- whether the summed commutator map is onto the
   trace-zero matrices, read off the centralizer by trace duality: the
   image is the orthogonal complement of the centralizer under
@@ -63,7 +64,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from . import exact_linalg as xl
 from .exact_linalg import RatMatrix, json_list, rat, rational_from_str, rational_to_str
 from .jnf import Jnf, Partition, centralizer_dim_of_jnf
-from .reduction import JnfTuple, expected_dim, kappa  # noqa: F401  (re-exported)
+from .reduction import JnfTuple, expected_dim, kappa
 from .spectra import ADDITIVE, MULTIPLICATIVE
 
 
@@ -228,9 +229,7 @@ def jordan_realization(j: Jnf, values: Mapping[str, int | str | Fraction] | None
 
 def centralizer_dim_of(matrices: Sequence[RatMatrix]) -> int:
     """dim over Q of {X : [M, X] = 0 for every M}; at least 1 (scalars)."""
-    n2 = matrices[0].rows ** 2
-    stacked = (row for m in matrices for row in xl.integer_intertwiner_rows(m, m))
-    return n2 - xl.integer_rank(stacked, n2 - 1)  # I is always in the kernel
+    return xl.hom_dim(matrices, matrices)
 
 
 def centralizer_dim(t: MatrixTuple) -> int:

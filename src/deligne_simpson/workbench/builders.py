@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .. import exact_linalg as xl
-from ..exact_linalg import RatMatrix, rat
+from ..exact_linalg import RatMatrix, hom_dim, rat
 from ..jnf import Jnf
 from ..spectra import (
     MULTIPLICATIVE,
@@ -241,14 +241,6 @@ def build_semidirect_point(rigid: MatrixTuple) -> MatrixTuple:
         "fourth matrix has the wrong Jordan structure",
     )
     return t
-
-
-def hom_dim(a: Sequence[RatMatrix], b: Sequence[RatMatrix]) -> int:
-    """dim over Q of {Y : A_j Y = Y B_j for all j} (intertwiners b -> a)."""
-    n2 = a[0].rows ** 2
-    pairs = list(zip(a, b, strict=True))  # checked whole: the rank can stop early
-    stacked = (row for x, y in pairs for row in xl.integer_intertwiner_rows(x, y))
-    return n2 - xl.integer_rank(stacked, n2)
 
 
 # Classes of the three-class size-4 example: eigenvalues (a,a,b,c),

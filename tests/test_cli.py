@@ -483,7 +483,8 @@ def test_corpus_cli(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["all_pass"] is True
-    assert run(capsys, "corpus", "--example", "nope")[0] == 2
+    for name in ("nope", ""):
+        assert run(capsys, "corpus", "--example", name)[0] == 2
 
 
 def test_shipped_files_roundtrip_bit_exactly():

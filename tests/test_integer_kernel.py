@@ -22,7 +22,7 @@ from deligne_simpson import exact_linalg as xl
 from deligne_simpson import tuple_lab as tl
 from deligne_simpson.exact_linalg import IntEchelon, RatMatrix
 from deligne_simpson.tuple_lab import MatrixTuple
-from deligne_simpson.workbench import hom_dim
+from deligne_simpson.workbench import builders, hom_dim
 
 from conftest import random_invertible
 from oracles import entrywise_product, frontier_algebra_dim, intertwiner_system, minor_rank
@@ -54,13 +54,15 @@ def seeded_tuple(rng, n, count, structure):
     if structure == "triangular":
         return conjugate_all([fraction_matrix(rng, n, d, upper=True) for d in dens], g)
     k = rng.randint(1, n - 1)
-    mats = []
-    for d in dens:
-        a, b = fraction_matrix(rng, k, d), fraction_matrix(rng, n - k, d)
-        rows = [list(a.row(i)) + [F(0)] * (n - k) for i in range(k)]
-        rows += [[F(0)] * k + list(b.row(i)) for i in range(n - k)]
-        mats.append(RatMatrix.from_rows(rows))
+    mats = [block_diagonal(fraction_matrix(rng, k, d), fraction_matrix(rng, n - k, d)) for d in dens]
     return conjugate_all(mats, g)
+
+
+def block_diagonal(a, b):
+    k, m = a.rows, b.rows
+    rows = [list(a.row(i)) + [F(0)] * m for i in range(k)]
+    rows += [[F(0)] * k + list(b.row(i)) for i in range(m)]
+    return RatMatrix.from_rows(rows)
 
 
 def oracle_intertwiner(a, b):
@@ -104,9 +106,24 @@ def test_hom_dim_uses_one_scale_per_pair(seed, n, count):
     got = hom_dim(a, b)
     assert got == xl.nullity(system)
     assert got == tl.centralizer_dim_of(a) >= 1
+    # equal matrices in another list: the rank stops at n^2 - 1 here too
+    system = xl.vstack([oracle_intertwiner(x, x) for x in a])
+    assert hom_dim(a, list(a)) == xl.nullity(system) == tl.centralizer_dim_of(a)
     other = seeded_tuple(rng, n, count, "generic")
     system = xl.vstack([oracle_intertwiner(x, y) for x, y in zip(a, other)])
     assert hom_dim(a, other) == xl.nullity(system)
+    # S + P and S + Q share the summand S alone, so 1 <= hom < centralizer
+    k = rng.randint(1, n - 1)
+    dens = rng.sample(DENOMINATORS, count)
+    shared, p, q = ([fraction_matrix(rng, size, d) for d in dens] for size in (k, n - k, n - k))
+    g, h = (random_invertible(rng, n).scale(F(1, d)) for d in rng.sample(DENOMINATORS, 2))
+    sp = conjugate_all([block_diagonal(x, y) for x, y in zip(shared, p)], g)
+    sq = conjugate_all([block_diagonal(x, y) for x, y in zip(shared, q)], h)
+    system = xl.vstack([oracle_intertwiner(x, y) for x, y in zip(sp, sq)])
+    got = hom_dim(sp, sq)
+    assert got == xl.nullity(system)
+    assert 1 <= got < tl.centralizer_dim_of(sp)
+    assert builders.hom_dim is hom_dim is xl.hom_dim
 
 
 def word_span_rank(mats):
