@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from contextlib import contextmanager
 
@@ -217,8 +218,12 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_dual(args) -> int:
+    parts = [p.strip() for p in args.parts.split(",") if p.strip()]
     with _malformed(f"bad partition {args.parts!r}"):
-        partition = Partition(capped(int(p) for p in args.parts.split(",") if p.strip()))
+        # int() alone would also read "1_0", "+2" and non-ASCII digits
+        if not all(re.fullmatch(r"[0-9]+", p) for p in parts):
+            raise ValueError("each part must be ASCII digits")
+        partition = Partition(capped(int(p) for p in parts))
     result = partition.dual()
     if args.json:
         sys.stdout.write(dumps({"partition": list(partition.parts), "dual": list(result.parts)}))

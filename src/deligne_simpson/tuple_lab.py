@@ -12,7 +12,10 @@ The checks provided:
 
 * ``verify_closure`` -- exact product-is-I / sum-is-0 test;
 * ``jnf_of`` / ``class_membership`` -- Jordan structure from the rank
-  sequence rank((m - lam I)^k);
+  sequence rank((m - lam I)^k).  m - lam I is formed as integers, as
+  q s (m - lam I) = q (s m) - p s I for lam = p/q and s the lcm of m's
+  denominators (``_shifted``), since a nonzero scale changes no rank or
+  kernel; Norton's theta below is formed the same way;
 * ``centralizer_dim`` -- dim C(M) of the tuple, ``exact_linalg.hom_dim(M, M)``:
   the kernel dimension of the stacked commutator maps on the
   n^2-dimensional matrix space;
@@ -23,11 +26,11 @@ The checks provided:
   scalars;
 * ``is_irreducible`` -- the generated unital algebra is M_n(Q), of
   dimension n^2 (Burnside's criterion), decided by Norton's test
-  (``norton_spins``): for theta = M_j - lam I with a claimed eigenvalue lam
-  of rank(theta) = n - 1, the spins of ker theta under the M_i and of
-  ker theta^T under the M_i^T are both Q^n.  Only when no claimed
-  eigenvalue gives such a theta does it run the Burnside closure
-  (``algebra_dim``), an n^2-dimensional span;
+  (``norton_spins``): for theta = M_j - lam I, as integers, with a
+  claimed eigenvalue lam of rank(theta) = n - 1, the spins of ker theta
+  under the M_i and of ker theta^T under the M_i^T are both Q^n.  Only
+  when no claimed eigenvalue gives such a theta does it run the Burnside
+  closure (``algebra_dim``), an n^2-dimensional span;
 * ``corner_differential`` -- the linear map that the upper-right block of
   a product (or sum) of block upper-triangular matrices depends on; with
   equal diagonal blocks, the product/sum differential;
@@ -150,6 +153,17 @@ def verify_closure(t: MatrixTuple) -> bool:
     return total.is_zero()
 
 
+def _shifted(scaled: list[list[int]], s: int, lam: Fraction) -> list[list[int]]:
+    """Rows of q s (M - lam I) as ints, for scaled the rows of s M and
+    lam = p/q: q (s M) - p s I, written entry by entry.  A nonzero scale
+    changes no rank or kernel."""
+    q, ps = lam.denominator, lam.numerator * s
+    rows = [[q * x for x in row] for row in scaled]
+    for i, row in enumerate(rows):
+        row[i] -= ps
+    return rows
+
+
 def jnf_of(m: RatMatrix, eigenvalues: Sequence[int | str | Fraction]) -> Jnf:
     """Jordan normal form of m, given its eigenvalues with multiplicities.
 
@@ -168,10 +182,12 @@ def jnf_of(m: RatMatrix, eigenvalues: Sequence[int | str | Fraction]) -> Jnf:
     claimed: dict[Fraction, int] = {}
     for v in values:
         claimed[v] = claimed.get(v, 0) + 1
+    s = xl.denominator_lcm([m])
+    scaled = xl.integer_matrix(m, s)
     entries = []
     for lam in sorted(claimed):
-        # m - lam I scaled to integers: the scale (and its powers) changes no rank
-        shifted = xl.integer_matrix(m - RatMatrix.identity(n).scale(lam))
+        # q s (m - lam I): the scale (and its powers) changes no rank
+        shifted = _shifted(scaled, s, lam)
         counts = []
         power = shifted
         prev = n
@@ -286,9 +302,11 @@ def norton_spins(t: MatrixTuple) -> tuple[bool, bool] | None:
 
     theta = M_j - lam I for the first M_j, in tuple order, with a claimed
     eigenvalue lam, in claim order, of rank(M_j - lam I) = n - 1; a wrong
-    claim only fails that rank check.  v spans ker theta and w spans
-    ker theta^T.  The spin of v is the smallest subspace that contains v
-    and that every M_i keeps; the spin of w is the same under the M_i^T.
+    claim only fails that rank check.  theta is taken as the integer rows
+    of q s (M_j - lam I) (``_shifted``), which have the same rank and
+    kernels.  v spans ker theta and w spans ker theta^T.  The spin of v
+    is the smallest subspace that contains v and that every M_i keeps;
+    the spin of w is the same under the M_i^T.
 
     theta lies in the generated algebra A and has a 1-dimensional kernel,
     and that is all the following uses.
@@ -311,17 +329,18 @@ def norton_spins(t: MatrixTuple) -> tuple[bool, bool] | None:
       the spin of w, which every M_i^T keeps.
     """
     n = t.n
-    for m, eigs in zip(t.matrices, t.eigenvalue_lists):
+    scales = [xl.denominator_lcm([m]) for m in t.matrices]
+    generators = [xl.integer_matrix(m, s) for m, s in zip(t.matrices, scales)]
+    for scaled, s, eigs in zip(generators, scales, t.eigenvalue_lists):
         for lam in dict.fromkeys(eigs):
-            theta = m - RatMatrix.identity(n).scale(lam)
-            kernel = xl.nullspace_basis(theta)
-            if len(kernel) != 1:
+            theta = _shifted(scaled, s, lam)
+            if xl.integer_rank(theta, n) != n - 1:
                 continue
-            (cokernel,) = xl.nullspace_basis(RatMatrix.from_rows(list(zip(*theta.row_lists()))))
+            (kernel,) = xl.nullspace_basis(RatMatrix.from_rows(theta))
+            (cokernel,) = xl.nullspace_basis(RatMatrix.from_rows(list(zip(*theta))))
             # g x for a column x is the row x^T g^T, and g^T y is the row y^T g
-            generators = [xl.integer_matrix(g) for g in t.matrices]
             transposes = [list(zip(*g)) for g in generators]
-            return _spans_everything(kernel[0], transposes), _spans_everything(cokernel, generators)
+            return _spans_everything(kernel, transposes), _spans_everything(cokernel, generators)
     return None
 
 

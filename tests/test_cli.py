@@ -53,6 +53,12 @@ def test_dual(capsys):
     assert code == 0 and json.loads(out) == {"partition": [3, 2], "dual": [2, 2, 1]}
     code, _, err = run(capsys, "dual", "4,x")
     assert code == 2 and "error" in err
+    # int() reads these as 10, 3 and 2; a part is ASCII digits only
+    for literal in ("1_0", "\u0663", "+2"):
+        code, out, err = run(capsys, "dual", literal)
+        assert code == 2 and out == "" and "bad partition" in err
+    code, out, _ = run(capsys, "dual", "4, 3, 3")
+    assert code == 0 and out.strip() == "3,3,3,1"
 
 
 def test_dual_rejects_parts_past_the_size_cap_before_expanding_them(capsys):

@@ -71,6 +71,79 @@ def test_jnf_of_wrong_spectrum():
         tl.jnf_of(m, [2])
 
 
+def oracle_jnf(rows, claims):
+    """The JNF that ``jnf_of`` should give, from the rank sequence of
+    Fraction powers of m - lam I by ``minor_rank``, or None for a wrong
+    claim; block sizes are counted straight off the rank drops."""
+    n = len(rows)
+    entries = []
+    for lam in sorted(set(claims)):
+        theta = [[x - lam * (i == k) for k, x in enumerate(row)] for i, row in enumerate(rows)]
+        ranks, power = [n], theta
+        while (r := minor_rank(power)) < ranks[-1]:
+            ranks.append(r)
+            power = entrywise_product([power, theta])
+        drops = [a - b for a, b in zip(ranks, ranks[1:])]  # drops[k]: blocks of size > k
+        if not drops or sum(drops) != claims.count(lam):
+            return None
+        entries.append((str(lam), [sum(d >= i for d in drops) for i in range(1, drops[0] + 1)]))
+    return Jnf(entries)
+
+
+def test_jnf_of_matches_the_minor_rank_oracle_on_fractional_eigenvalues():
+    """Jordan matrices, n 1-4, with eigenvalues p/q for q in {2, 3, 7},
+    conjugated by matrices whose entries have denominators 1, 2, 3 and 5.
+    Each is claimed with its spectrum, with one eigenvalue off by 1/q, and
+    with one value that is no eigenvalue; class_membership is checked on
+    its class, on that class with one label moved by 1/q, and with each
+    eigenvalue's blocks merged into one."""
+    rng = random.Random(17)
+    seen = {"n = 1": 0, "moved label": 0, "merged blocks": 0}
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        q = rng.choice([2, 3, 7])
+        pool = [F(rng.randint(-2 * q, 2 * q), q) for _ in range(2)]  # so eigenvalues repeat
+        blocks = []
+        while (left := n - sum(size for size, _ in blocks)) > 0:
+            blocks.append((rng.randint(1, left), rng.choice(pool)))
+        rows = [[F(0)] * n for _ in range(n)]
+        pos = 0
+        for size, lam in blocks:
+            for k in range(pos, pos + size):
+                rows[k][k] = lam
+                if k + 1 < pos + size:
+                    rows[k][k + 1] = F(1)
+            pos += size
+        g = RatMatrix.zero(n, n)
+        while xl.rank(g) < n:
+            g = RatMatrix(n, n, [F(rng.randint(-3, 3), rng.choice([1, 2, 3, 5])) for _ in range(n * n)])
+        m = g @ RatMatrix.from_rows(rows) @ xl.inverse(g)
+        spectrum = [lam for size, lam in blocks for _ in range(size)]
+        off, absent = list(spectrum), list(spectrum)
+        off[rng.randrange(n)] += F(rng.choice([1, -1]), q)
+        absent[rng.randrange(n)] = max(spectrum) + F(5, 7)
+        j = oracle_jnf(m.row_lists(), spectrum)
+        assert tl.jnf_of(m, spectrum) == j
+        for claims in (off, absent):
+            assert oracle_jnf(m.row_lists(), claims) is None
+            with pytest.raises(tl.WrongSpectrumError):
+                tl.jnf_of(m, claims)
+        seen["n = 1"] += n == 1
+        assert tl.class_membership(m, j)
+        labels = [label for label, _ in j.blocks_by_eigenvalue]
+        label = rng.choice(labels)
+        moved = str(F(label) + F(1, q))
+        if moved not in labels:
+            swapped = Jnf([(moved if lab == label else lab, part.parts) for lab, part in j.blocks_by_eigenvalue])
+            assert not tl.class_membership(m, swapped)
+            seen["moved label"] += 1
+        if any(len(part.parts) > 1 for _, part in j.blocks_by_eigenvalue):
+            merged = Jnf([(lab, [part.total()]) for lab, part in j.blocks_by_eigenvalue])
+            assert not tl.class_membership(m, merged)
+            seen["merged blocks"] += 1
+    assert min(seen.values()) >= 5, seen
+
+
 def test_class_membership_examples():
     m = RatMatrix.diagonal([2, 7])
     assert tl.class_membership(m, Jnf([("2", [1]), ("7", [1])]))
@@ -321,12 +394,12 @@ def test_report_routes_between_norton_the_closure_and_the_stacked_centralizer(mo
 def block_triangular_claims(rng, n, count):
     """A tuple of count additive-mode matrices, block upper triangular with
     one or two diagonal blocks, conjugated by one random unimodular g so
-    that the entries stay integers.  Each matrix's diagonal blocks are
-    upper triangular with diagonal entries from a small pool (always in
-    M_1), or dense random; now and then every off-diagonal block is 0, a
-    direct sum.  A
-    triangular matrix claims its diagonal in shuffled order, or, now and
-    then, a shifted one that is no spectrum; a dense one claims 0s."""
+    that no denominator grows.  Each matrix's diagonal blocks are upper
+    triangular with diagonal entries from a small pool that holds halves
+    and thirds (always in M_1), or dense random with integer entries; now
+    and then every off-diagonal block is 0, a direct sum.  A triangular
+    matrix claims its diagonal in shuffled order, or, now and then, one
+    shifted by 7 or by 7/3 that is no spectrum; a dense one claims 0s."""
     cut = rng.randint(1, n)  # n: one block
     blocks = [(0, cut), (cut, n)] if cut < n else [(0, n)]
     decoupled = rng.random() < 0.15
@@ -339,12 +412,13 @@ def block_triangular_claims(rng, n, count):
                 for k in range(a if not triangular else i, n if not decoupled else b):
                     rows[i][k] = F(rng.randint(-2, 2))
                 if triangular:
-                    rows[i][i] = F(rng.choice([0, 1, -1, 2]))
+                    rows[i][i] = rng.choice([F(0), F(1), F(-1), F(2), F(1, 2), F(-2, 3)])
         mats.append(RatMatrix.from_rows(rows))
         if triangular:
             diagonal = [rows[i][i] for i in range(n)]
             rng.shuffle(diagonal)
-            claims.append([x + 7 for x in diagonal] if rng.random() < 0.2 else diagonal)
+            shift = rng.choice([7, F(7, 3)]) if rng.random() < 0.2 else 0
+            claims.append([x + shift for x in diagonal])
         else:
             claims.append([0] * n)
     return tl.conjugate(MatrixTuple("additive", mats, claims), unimodular(rng, n))
@@ -371,7 +445,8 @@ def oracle_spins(t):
 
 
 def test_norton_route_matches_the_dense_references(monkeypatch):
-    """Seeded block-triangular tuples, n 2-6: Norton's verdict against the
+    """Seeded block-triangular tuples, n 2-6, some with fractional
+    eigenvalues and claims: Norton's verdict against the
     generated algebra's dimension and report's centralizer against the
     stacked elimination, with both spins full, only v's, only w's, neither,
     and no theta (the fallback), each drawn at least 5 times."""
@@ -396,6 +471,30 @@ def test_norton_route_matches_the_dense_references(monkeypatch):
         assert closures == ([t] if spins is None and cdim == 1 else [])
         assert eliminations == ([] if spins is not None and any(spins) else [t])
     assert min(seen.values()) >= 5, seen
+
+
+def test_report_shifts_by_lam_in_integers(monkeypatch):
+    """jnf_of and Norton's theta form M - lam I as integers, so report
+    scales no RatMatrix: on a dense tuple (two regular Jordan matrices with
+    fractional eigenvalues, conjugated by unimodular matrices and closed by
+    minus their sum, which claims a wrong spectrum) and on a closed
+    triangular one."""
+    rng = random.Random(6)
+    n = 4
+    mats, claims = [], []
+    for values, sizes in (([F(1, 2), F(-2, 3)], [3, 1]), ([F(3, 7), F(-1)], [2, 2])):
+        g = unimodular(rng, n)
+        mats.append(g @ tl.jordan_realization(Jnf([(str(v), [size]) for v, size in zip(values, sizes)])) @ xl.inverse(g))
+        claims.append([v for v, size in zip(values, sizes) for _ in range(size)])
+    mats.append(-(mats[0] + mats[1]))
+    dense = MatrixTuple("additive", mats, [*claims, [0] * n])
+    triangular = closed_triangular_tuple(rng, "multiplicative", 5, 3)
+    expected = [tl.report(t) for t in (dense, triangular)]
+    monkeypatch.setattr(RatMatrix, "scale", lambda m, c: pytest.fail("report scaled a RatMatrix"))
+    reports = [tl.report(t) for t in (dense, triangular)]
+    assert reports == expected
+    assert reports[0]["wrong_spectrum"] and reports[0]["irreducible"] is True
+    assert reports[1]["jnfs"] is not None and tl.norton_spins(triangular) is not None
 
 
 def test_report_at_n10_decides_irreducibility_without_the_closure(monkeypatch):
