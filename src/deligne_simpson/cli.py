@@ -88,9 +88,10 @@ def _genericity_payload(spectrum: sp.SpectrumAssignment) -> dict:
     if sp.relation_choices(spectrum, limit + 1) > limit:
         print(f"warning: more than {GENERICITY_BUDGET} combination steps; skipping relation enumeration", file=sys.stderr)
         return {"skipped": f"more than {GENERICITY_BUDGET} combination steps"}
-    if not sp.global_condition(spectrum):
+    try:
+        report = sp.classify(spectrum)  # checks the global condition before any enumeration
+    except sp.GlobalConditionViolatedError:
         return {"global_condition": False}
-    report = sp.classify(spectrum)
     out = report.to_json()
     out["global_condition"] = True
     return out

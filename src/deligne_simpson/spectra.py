@@ -9,8 +9,10 @@ Eigenvalues are modeled as formal scalars over user-declared symbols:
   combining is the plain linear combination.
 
 A spectrum assignment lists, for each of the p+1 conjugacy classes, its
-distinct eigenvalue scalars with multiplicities summing to n.  On top of
-this the module decides, exactly:
+distinct eigenvalue scalars with multiplicities summing to n.  Building it
+checks that all its scalars share one mode; ``combine`` takes that mode
+from the caller and does not check it again.  On top of this the module
+decides, exactly:
 
 * the global condition -- product of all eigenvalues equal to 1, or sum
   equal to 0, with multiplicities;
@@ -74,10 +76,6 @@ class FormalScalar:
     terms: tuple[tuple[str, Fraction], ...]
     offset: Fraction
 
-    def __post_init__(self):
-        if self.mode not in (MULTIPLICATIVE, ADDITIVE):
-            raise ValueError(f"unknown mode {self.mode!r}")
-
     @classmethod
     def multiplicative(
         cls, exponents: Mapping[str, int | str | Fraction] | None = None, phase: int | str | Fraction = 0
@@ -134,26 +132,18 @@ class FormalScalar:
         return build(data.get(keys[0]), data.get(keys[1], 0))
 
 
-def combine(
-    pairs: Iterable[tuple[FormalScalar, int | Fraction]], mode: str | None = None
-) -> FormalScalar:
-    """Weighted combination: multiplicative prod(s_i ** w_i), additive sum(w_i s_i)."""
+def combine(pairs: Iterable[tuple[FormalScalar, int | Fraction]], mode: str) -> FormalScalar:
+    """Weighted combination in the given mode, which every scalar shares:
+    multiplicative prod(s_i ** w_i), additive sum(w_i s_i)."""
     totals: dict[str, Fraction] = {}
     offset = Fraction(0)
     for scalar, weight in pairs:
-        if mode is None:
-            mode = scalar.mode
-        elif scalar.mode != mode:
-            raise MixedModesError(f"cannot combine {scalar.mode} with {mode}")
-        w = rat(weight)
         for sym, c in scalar.terms:
-            totals[sym] = totals.get(sym, Fraction(0)) + c * w
-        offset += scalar.offset * w
-    if mode is None:
-        raise ValueError("empty combination needs an explicit mode")
+            totals[sym] = totals.get(sym, 0) + c * weight
+        offset += scalar.offset * weight
     if mode == MULTIPLICATIVE:
         offset %= 1
-    return FormalScalar(mode, _as_terms(totals), offset)
+    return FormalScalar(mode, tuple(sorted((sym, c) for sym, c in totals.items() if c)), offset)
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
@@ -214,13 +204,13 @@ class SpectrumAssignment:
     def from_json(cls, data: Mapping) -> SpectrumAssignment:
         _require_object(data, "spectrum")
         mode = data.get("mode", MULTIPLICATIVE)
-        declared = set(json_list(data.get("symbols", []), "symbols"))
+        declared = set(json_list(data["symbols"], "symbols")) if "symbols" in data else None
         classes = []
         for cls_data in data["classes"]:
             entries = []
             for item in cls_data:
                 scalar = FormalScalar.from_json(item["scalar"], mode)
-                if declared and not set(scalar.symbols()) <= declared:
+                if declared is not None and not set(scalar.symbols()) <= declared:
                     raise ValueError(f"undeclared symbols in {scalar!r}")
                 entries.append((scalar, item["mult"]))
             classes.append(entries)
@@ -237,9 +227,6 @@ class RelationWitness:
 
     def key(self):
         return (self.size, tuple(tuple((s.key(), c) for s, c in part) for part in self.parts))
-
-    def combined(self) -> FormalScalar:
-        return combine((s, c) for part in self.parts for s, c in part)
 
     def to_json(self) -> dict:
         return {
@@ -435,8 +422,9 @@ def exp_map(s: SpectrumAssignment) -> SpectrumAssignment:
     for cls_ in s.classes:
         merged: dict = {}
         for scalar, mult in cls_:
-            image = FormalScalar.multiplicative(
-                {f"exp_{sym}": c for sym, c in scalar.terms}, scalar.offset % 1
+            # a common prefix keeps the terms sorted
+            image = FormalScalar(
+                MULTIPLICATIVE, tuple((f"exp_{sym}", c) for sym, c in scalar.terms), scalar.offset % 1
             )
             # exp collapses integer differences, so images may coincide
             merged[image] = merged.get(image, 0) + mult

@@ -3,7 +3,8 @@
 The analyze payloads bundle each example's JNF tuple with its primary
 spectrum; the verify payloads are the explicit matrix tuples.  Files are
 written with the package's canonical JSON formatting, so parsing one and
-re-serializing it reproduces the file byte for byte.
+re-serializing it reproduces the file byte for byte.  To regenerate
+them, call ``write_fixture_files("fixtures")`` from the repository root.
 """
 
 from __future__ import annotations
@@ -40,10 +41,3 @@ def write_fixture_files(directory: str | Path) -> list[Path]:
         written.append(path)
     return written
 
-
-if __name__ == "__main__":
-    import sys
-
-    target = sys.argv[1] if len(sys.argv) > 1 else "fixtures"
-    for path in write_fixture_files(target):
-        print(path)

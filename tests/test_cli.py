@@ -166,8 +166,12 @@ def test_analyze_malformed_inputs(tmp_path, capsys):
         assert code == 2 and "bad spectrum" in err
 
 
-def test_analyze_text_reports_a_violated_global_condition(tmp_path, capsys):
+def test_analyze_text_reports_a_violated_global_condition(tmp_path, capsys, monkeypatch):
     # eigenvalues x, 1 in both classes: the product of all of them is x^2, not 1
+    def no_search(*args):
+        raise AssertionError("the relation search ran before the global condition was checked")
+
+    monkeypatch.setattr(sp, "enumerate_relations", no_search)
     cls_ = [{"scalar": {"exponents": e, "phase": "0"}, "mult": 1} for e in ({"x": "1"}, {})]
     payload = {"jnfs": [{"multiplicities": [1, 1]}] * 2, "spectrum": {"mode": "multiplicative", "classes": [cls_] * 2}}
     path = tmp_path / "violated.json"
@@ -291,11 +295,15 @@ FIRST_SCALAR = ("spectrum", "classes", 0, 0)
         (FIRST_SCALAR + ("mult",), 2.5),
         (FIRST_SCALAR + ("mult",), "2"),
         (("spectrum", "symbols"), "e23"),
+        (("spectrum", "symbols"), []),
         (FIRST_SCALAR + ("scalar", "exponents"), [1]),
         (FIRST_SCALAR + ("scalar", "phase"), "1\n"),
         (FIRST_SCALAR + ("scalar", "phase"), "\u0661"),
     ],
-    ids=["mult-float", "mult-string", "symbols-string", "exponents-list", "phase-newline", "phase-arabic-indic"],
+    ids=[
+        "mult-float", "mult-string", "symbols-string", "symbols-empty",
+        "exponents-list", "phase-newline", "phase-arabic-indic",
+    ],
 )
 def test_analyze_malformed_spectrum_is_input_error(tmp_path, capsys, path, value):
     file = tmp_path / "spectrum.json"

@@ -41,17 +41,15 @@ def tq_spectrum():
 
 
 def test_combine_examples():
-    assert sp.combine([(S({"e": 1}), 1), (S({"e": -1}), 1)]).is_identity()
-    sq = sp.combine([(S({}, F(1, 4)), 2)])
+    assert sp.combine([(S({"e": 1}), 1), (S({"e": -1}), 1)], MULTIPLICATIVE).is_identity()
+    sq = sp.combine([(S({}, F(1, 4)), 2)], MULTIPLICATIVE)
     assert sq.terms == () and sq.offset == F(1, 2)
-    two = sp.combine([(S({"2": F(1, 2)}), 2)])
+    two = sp.combine([(S({"2": F(1, 2)}), 2)], MULTIPLICATIVE)
     assert two.terms == (("2", F(1)),) and two.offset == 0
-    with pytest.raises(sp.MixedModesError):
-        sp.combine([(S({}), 1), (A({}), 1)])
 
 
 def test_additive_combine():
-    total = sp.combine([(A({"t": 1}, 2), 1), (A({"t": -1}, -2), 1)])
+    total = sp.combine([(A({"t": 1}, 2), 1), (A({"t": -1}, -2), 1)], ADDITIVE)
     assert total.is_identity()
 
 
@@ -173,7 +171,7 @@ def test_witness_order_deterministic_and_canonical():
     assert [w.key() for w in first] == [w.key() for w in second]
     assert [w.key() for w in first] == sorted(w.key() for w in first)
     for w in first:
-        assert w.combined().is_identity()
+        assert sp.combine(((s, c) for part in w.parts for s, c in part), spectrum.mode).is_identity()
         for part in w.parts:
             assert sum(c for _, c in part) == w.size
 
