@@ -14,9 +14,10 @@ Vectorization convention: an n x n matrix X maps to the length n**2 vector
 vec(X) listing entries row by row (row-major).  Every operator matrix comes
 from one writer, ``intertwiner_rows``: X -> AX - XB written down entry by
 entry in O(n^4).  The commutator map is its case A = B, left and right
-multiplication by A its cases B = 0 and (0, -A).  ``hom_dim`` is the one
-elimination of such operators stacked over a tuple: the dimension of the
-intertwiners between two tuples, or of a tuple's centralizer.
+multiplication by A its cases B = 0 and (0, -A).  ``integer_hom_dim`` is
+the one elimination of such operators stacked over a tuple of integer
+matrix pairs: the dimension of the intertwiners between two tuples, or of
+a tuple's centralizer.  ``hom_dim`` is its form for ``RatMatrix`` tuples.
 
 Serialization: rationals are strings "p/q" or "p" with the sign on the
 numerator; matrices are JSON arrays of arrays of such strings.  ``rat``,
@@ -244,16 +245,17 @@ def integer_row(values: Sequence[Fraction]) -> list[int]:
     """values times the lcm of their denominators, as ints: a row with the
     same span, since row scaling changes no rank or row space."""
     scale = math.lcm(*(x.denominator for x in values))
-    return [int(x * scale) for x in values]
+    return [x.numerator * (scale // x.denominator) for x in values]
 
 
 def integer_matrix(m: RatMatrix, scale: int | None = None) -> list[list[int]]:
-    """Rows of scale * m as ints; scale defaults to the lcm of m's
-    denominators.  A common scale for several matrices comes from
-    ``denominator_lcm``."""
+    """Rows of scale * m as ints, for scale a multiple of every denominator
+    of m; it defaults to their lcm.  A common scale for several matrices
+    comes from ``denominator_lcm``.  Each entry is p (scale // q), in ints,
+    for the entry p/q: no Fraction product is formed."""
     if scale is None:
         scale = denominator_lcm([m])
-    return [[int(x * scale) for x in m.row(i)] for i in range(m.rows)]
+    return [[x.numerator * (scale // x.denominator) for x in m.row(i)] for i in range(m.rows)]
 
 
 def denominator_lcm(matrices: Iterable[RatMatrix]) -> int:
@@ -426,21 +428,27 @@ def hom_dim(a: Sequence[RatMatrix], b: Sequence[RatMatrix]) -> int:
     """dim over Q of {Y : A_j Y = Y B_j for every j} (intertwiners b -> a);
     with a = b, the centralizer of the tuple.
 
-    One stacked elimination of the ``intertwiner_rows`` of each pair, scaled
-    to integers by one s per pair, the lcm of the denominators of both: s
-    must be common, since scaling A_j and B_j apart would change the map
-    Y -> A_j Y - Y B_j, not just multiply it.  When the matrices are equal, I
-    is in the kernel, so the rank stops at n^2 - 1.
+    Each pair is scaled to integers by one s, the lcm of the denominators
+    of both, and handed to ``integer_hom_dim``: s must be common, since
+    scaling A_j and B_j apart would change the map Y -> A_j Y - Y B_j, not
+    just multiply it.  With A_j = B_j, s is the lcm of A_j's denominators.
     """
-    n2 = a[0].rows ** 2
-    pairs = list(zip(a, b, strict=True))  # checked whole: the rank can stop early
-    bound = n2 - 1 if all(x == y for x, y in pairs) else n2
 
-    def pair_rows(x: RatMatrix, y: RatMatrix) -> list[list[int]]:
+    def scaled(x: RatMatrix, y: RatMatrix) -> tuple[list[list[int]], list[list[int]]]:
         s = denominator_lcm([x, y])
-        return intertwiner_rows(integer_matrix(x, s), integer_matrix(y, s))
+        return integer_matrix(x, s), integer_matrix(y, s)
 
-    return n2 - integer_rank((row for x, y in pairs for row in pair_rows(x, y)), bound)
+    return integer_hom_dim([scaled(x, y) for x, y in zip(a, b, strict=True)])
+
+
+def integer_hom_dim(pairs: Sequence[tuple[Sequence[Sequence[int]], Sequence[Sequence[int]]]]) -> int:
+    """dim over Q of {Y : A_j Y = Y B_j for every j}, for pairs of integer
+    rows (A_j, B_j): one stacked elimination of the ``intertwiner_rows`` of
+    each pair.  When the matrices of every pair are equal, I is in the
+    kernel, so the rank stops at n^2 - 1."""
+    n2 = len(pairs[0][0]) ** 2
+    bound = n2 - 1 if all(x == y for x, y in pairs) else n2
+    return n2 - integer_rank((row for x, y in pairs for row in intertwiner_rows(x, y)), bound)
 
 
 def intertwiner_matrix(a: RatMatrix, b: RatMatrix) -> RatMatrix:

@@ -8,17 +8,26 @@ rules, so no check below repeats them.  Eigenvalues are validated against
 rank sequences rather than computed, so everything stays inside exact
 rational arithmetic.
 
+Construction also reads each matrix into integers once: s_j, the lcm of
+the denominators of M_j (``MatrixTuple.scales``), and the integer rows of
+s_j M_j (``MatrixTuple.scaled``).  Every check on a tuple works on those
+rows; a nonzero scale changes no rank, kernel or span.
+
 The checks provided:
 
-* ``verify_closure`` -- exact product-is-I / sum-is-0 test;
+* ``verify_closure`` -- exact product-is-I / sum-is-0 test, as
+  prod_j (s_j M_j) = (prod_j s_j) I, or sum_j (L / s_j) (s_j M_j) = 0
+  with L the lcm of the s_j;
 * ``jnf_of`` / ``class_membership`` -- Jordan structure from the rank
   sequence rank((m - lam I)^k).  m - lam I is formed as integers, as
   q s (m - lam I) = q (s m) - p s I for lam = p/q and s the lcm of m's
-  denominators (``_shifted``), since a nonzero scale changes no rank or
-  kernel; Norton's theta below is formed the same way;
-* ``centralizer_dim`` -- dim C(M) of the tuple, ``exact_linalg.hom_dim(M, M)``:
-  the kernel dimension of the stacked commutator maps on the
-  n^2-dimensional matrix space;
+  denominators (``_shifted``); Norton's theta below is formed the same
+  way.  ``jnf_of`` and ``report`` share one helper on the rows of s m
+  (``_scaled_jnf``);
+* ``centralizer_dim`` -- dim C(M) of the tuple,
+  ``exact_linalg.integer_hom_dim`` on the pairs (s_j M_j, s_j M_j): the
+  kernel dimension of the stacked commutator maps on the n^2-dimensional
+  matrix space;
 * ``commut_surjective`` -- whether the summed commutator map is onto the
   trace-zero matrices, read off the centralizer by trace duality: the
   image is the orthogonal complement of the centralizer under
@@ -39,14 +48,15 @@ The checks provided:
   checks the literature's tangent numbers against);
 * ``orbit_dim`` -- dimension of the simultaneous conjugation orbit;
 * ``report`` -- all of the above for one tuple.  The JNFs come from
-  ``jnf_of``.  Its ``tangent_dim`` comes from trace duality rather than
-  from the differential: for a closed tuple the image of the differential
-  is the orthogonal complement of the tuple's centralizer, so the tangent
-  dimension is (k - 1) n^2 + dim C(tuple) - sum_j dim C(M_j) for k
-  matrices.  Each dim C(M_j) is ``centralizer_dim_of_jnf`` of M_j's JNF
-  when its claimed spectrum checks out, and ``centralizer_dim_of([M_j])``
-  otherwise.  ``irreducible`` comes from Norton's test; when either of
-  its spins is Q^n the centralizer is the scalars, and ``report`` sets
+  ``jnf_of``'s helper.  Its ``tangent_dim`` comes from trace duality
+  rather than from the differential: for a closed tuple the image of the
+  differential is the orthogonal complement of the tuple's centralizer,
+  so the tangent dimension is (k - 1) n^2 + dim C(tuple) - sum_j dim C(M_j)
+  for k matrices.  Each dim C(M_j) is ``centralizer_dim_of_jnf`` of M_j's
+  JNF when its claimed spectrum checks out, and otherwise the elimination
+  of ``centralizer_dim_of([M_j])``, run on the rows of s_j M_j.
+  ``irreducible`` comes from Norton's test; when either of its spins is
+  Q^n the centralizer is the scalars, and ``report`` sets
   ``centralizer_dim`` to 1 without the stacked elimination.  Without a
   theta for the test, ``report`` finds the centralizer by elimination
   first and runs the Burnside closure only when it is the scalars; a
@@ -60,7 +70,9 @@ minus 1 when the determinant constraint is transverse.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -82,11 +94,17 @@ class ClosureViolatedError(Exception):
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class MatrixTuple:
     """At least two square rational matrices of one size, with claimed
-    eigenvalue lists; in multiplicative mode each matrix is invertible."""
+    eigenvalue lists; in multiplicative mode each matrix is invertible.
+
+    ``scales[j]`` is s_j, the lcm of the denominators of M_j, and
+    ``scaled[j]`` the integer rows of s_j M_j, read once here for every
+    check below; both are derived, so they take no part in equality."""
 
     mode: str
     matrices: tuple[RatMatrix, ...]
     eigenvalue_lists: tuple[tuple[Fraction, ...], ...]
+    scales: tuple[int, ...] = field(compare=False)
+    scaled: tuple[tuple[tuple[int, ...], ...], ...] = field(compare=False)
 
     def __init__(
         self,
@@ -111,11 +129,15 @@ class MatrixTuple:
                 raise ValueError(f"each eigenvalue list must have length {n}")
             if mode == MULTIPLICATIVE and any(x == 0 for x in lst):
                 raise ValueError("multiplicative-mode eigenvalues must be nonzero")
-        if mode == MULTIPLICATIVE and any(xl.rank(m) < n for m in mats):
+        scales = tuple(xl.denominator_lcm([m]) for m in mats)
+        scaled = tuple(tuple(map(tuple, xl.integer_matrix(m, s))) for m, s in zip(mats, scales))
+        if mode == MULTIPLICATIVE and any(xl.integer_rank(rows, n) < n for rows in scaled):
             raise ValueError("multiplicative-mode matrix is singular")
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "eigenvalue_lists", eigs)
+        object.__setattr__(self, "scales", scales)
+        object.__setattr__(self, "scaled", scaled)
 
     @property
     def n(self) -> int:
@@ -144,16 +166,25 @@ class MatrixTuple:
 
 
 def verify_closure(t: MatrixTuple) -> bool:
-    """Exact check of product = I (multiplicative) or sum = 0 (additive)."""
+    """Exact check of product = I (multiplicative) or sum = 0 (additive),
+    on the integer rows of s_j M_j: prod_j (s_j M_j) = (prod_j s_j) I, or
+    sum_j (L / s_j) (s_j M_j) = 0 with L the lcm of the s_j."""
     if t.mode == MULTIPLICATIVE:
-        return xl.product(t.matrices).is_identity()
-    total = t.matrices[0]
-    for m in t.matrices[1:]:
-        total = total + m
-    return total.is_zero()
+        acc = t.scaled[0]
+        for rows in t.scaled[1:]:
+            acc = xl.matmul_rows(acc, rows)
+        scale = math.prod(t.scales)
+        return all(x == (scale if i == j else 0) for i, row in enumerate(acc) for j, x in enumerate(row))
+    lcm = math.lcm(*t.scales)
+    weights = [lcm // s for s in t.scales]
+    # entries holds one position's entry of every s_j M_j
+    return not any(
+        sum(map(operator.mul, weights, entries))
+        for entries in zip(*(itertools.chain.from_iterable(rows) for rows in t.scaled))
+    )
 
 
-def _shifted(scaled: list[list[int]], s: int, lam: Fraction) -> list[list[int]]:
+def _shifted(scaled: Sequence[Sequence[int]], s: int, lam: Fraction) -> list[list[int]]:
     """Rows of q s (M - lam I) as ints, for scaled the rows of s M and
     lam = p/q: q (s M) - p s I, written entry by entry.  A nonzero scale
     changes no rank or kernel."""
@@ -179,11 +210,16 @@ def jnf_of(m: RatMatrix, eigenvalues: Sequence[int | str | Fraction]) -> Jnf:
     values = [rat(x) for x in eigenvalues]
     if len(values) != n:
         raise ValueError(f"expected {n} eigenvalues, got {len(values)}")
+    s = xl.denominator_lcm([m])
+    return _scaled_jnf(xl.integer_matrix(m, s), s, values)
+
+
+def _scaled_jnf(scaled: Sequence[Sequence[int]], s: int, values: Sequence[Fraction]) -> Jnf:
+    """``jnf_of`` for the integer rows of s M and n claimed eigenvalues."""
+    n = len(scaled)
     claimed: dict[Fraction, int] = {}
     for v in values:
         claimed[v] = claimed.get(v, 0) + 1
-    s = xl.denominator_lcm([m])
-    scaled = xl.integer_matrix(m, s)
     entries = []
     for lam in sorted(claimed):
         # q s (m - lam I): the scale (and its powers) changes no rank
@@ -249,7 +285,12 @@ def centralizer_dim_of(matrices: Sequence[RatMatrix]) -> int:
 
 
 def centralizer_dim(t: MatrixTuple) -> int:
-    return centralizer_dim_of(t.matrices)
+    return xl.integer_hom_dim([(rows, rows) for rows in t.scaled])
+
+
+def _scaled_centralizer_dim(scaled: Sequence[Sequence[int]]) -> int:
+    """``centralizer_dim_of([M])`` for the integer rows of s M."""
+    return xl.integer_hom_dim([(scaled, scaled)])
 
 
 def has_trivial_centralizer(t: MatrixTuple) -> bool:
@@ -286,11 +327,10 @@ def algebra_dim(t: MatrixTuple) -> int:
     spin of vec(I) under right multiplication by every generator, with each
     row read as an n x n matrix; the closure stops early at n^2."""
     n = t.n
-    generators = [xl.integer_matrix(m) for m in t.matrices]
 
     def products(row: list[int]):
         m = [row[i * n : (i + 1) * n] for i in range(n)]
-        return ((x for prod_row in xl.matmul_rows(m, g) for x in prod_row) for g in generators)
+        return ((x for prod_row in xl.matmul_rows(m, g) for x in prod_row) for g in t.scaled)
 
     return _spin_dim((int(i == j) for i in range(n) for j in range(n)), products, n * n)
 
@@ -329,9 +369,7 @@ def norton_spins(t: MatrixTuple) -> tuple[bool, bool] | None:
       the spin of w, which every M_i^T keeps.
     """
     n = t.n
-    scales = [xl.denominator_lcm([m]) for m in t.matrices]
-    generators = [xl.integer_matrix(m, s) for m, s in zip(t.matrices, scales)]
-    for scaled, s, eigs in zip(generators, scales, t.eigenvalue_lists):
+    for scaled, s, eigs in zip(t.scaled, t.scales, t.eigenvalue_lists):
         for lam in dict.fromkeys(eigs):
             theta = _shifted(scaled, s, lam)
             if xl.integer_rank(theta, n) != n - 1:
@@ -339,8 +377,8 @@ def norton_spins(t: MatrixTuple) -> tuple[bool, bool] | None:
             (kernel,) = xl.nullspace_basis(RatMatrix.from_rows(theta))
             (cokernel,) = xl.nullspace_basis(RatMatrix.from_rows(list(zip(*theta))))
             # g x for a column x is the row x^T g^T, and g^T y is the row y^T g
-            transposes = [list(zip(*g)) for g in generators]
-            return _spans_everything(kernel, transposes), _spans_everything(cokernel, generators)
+            transposes = [list(zip(*g)) for g in t.scaled]
+            return _spans_everything(kernel, transposes), _spans_everything(cokernel, t.scaled)
     return None
 
 
@@ -401,8 +439,7 @@ def tangent_dim(t: MatrixTuple) -> int:
         raise ClosureViolatedError("tuple does not close (product I / sum 0)")
     theta = corner_differential(t.matrices, t.matrices, t.mode)
     kernel_dim = theta.cols - xl.rank(theta)
-    single = sum(centralizer_dim_of([m]) for m in t.matrices)
-    return kernel_dim - single
+    return kernel_dim - sum(map(_scaled_centralizer_dim, t.scaled))
 
 
 def orbit_dim(t: MatrixTuple) -> int:
@@ -419,7 +456,7 @@ def conjugate(t: MatrixTuple, g: RatMatrix) -> MatrixTuple:
 
 def jnf_tuple_of(t: MatrixTuple) -> JnfTuple:
     """The tuple of JNFs of the matrices, from their claimed eigenvalues."""
-    return JnfTuple(jnf_of(m, eigs) for m, eigs in zip(t.matrices, t.eigenvalue_lists))
+    return JnfTuple(_scaled_jnf(rows, s, eigs) for rows, s, eigs in zip(t.scaled, t.scales, t.eigenvalue_lists))
 
 
 def report(t: MatrixTuple) -> dict:
@@ -431,9 +468,9 @@ def report(t: MatrixTuple) -> dict:
     # is the one ``jnf_tuple_of`` would raise
     jnfs: list[Jnf | None] = []
     wrong: list[str] = []
-    for m, eigs in zip(t.matrices, t.eigenvalue_lists):
+    for rows, s, eigs in zip(t.scaled, t.scales, t.eigenvalue_lists):
         try:
-            jnfs.append(jnf_of(m, eigs))
+            jnfs.append(_scaled_jnf(rows, s, eigs))
         except WrongSpectrumError as exc:
             jnfs.append(None)
             wrong.append(str(exc))
@@ -467,8 +504,8 @@ def report(t: MatrixTuple) -> dict:
     # when the claimed spectrum checks out, and found by elimination otherwise.
     if closed:
         single = sum(
-            centralizer_dim_of([m]) if j is None else centralizer_dim_of_jnf(j)
-            for m, j in zip(t.matrices, jnfs)
+            _scaled_centralizer_dim(rows) if j is None else centralizer_dim_of_jnf(j)
+            for rows, j in zip(t.scaled, jnfs)
         )
         out["tangent_dim"] = (len(t) - 1) * t.n**2 + cdim - single
         out["tangent_dim_is_formal"] = cdim != 1

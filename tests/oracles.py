@@ -51,6 +51,15 @@ def entrywise_product(mats: list[list[list[Fraction]]]) -> list[list[Fraction]]:
     return acc
 
 
+def fraction_closes(mode: str, mats: list[list[list[Fraction]]]) -> bool:
+    """Whether square matrices given as nested lists have product I
+    (multiplicative) or sum 0 (additive), computed entrywise in Fractions."""
+    n = len(mats[0])
+    if mode == "multiplicative":
+        return entrywise_product(mats) == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    return all(sum((m[i][j] for m in mats), Fraction(0)) == 0 for i in range(n) for j in range(n))
+
+
 def intertwiner_system(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
     """The n^2 x n^2 matrix of X -> aX - Xb built directly from the entry
     formula (aX - Xb)_{ij} = sum_k a_ik X_kj - X_ik b_kj, row-major X."""

@@ -1,9 +1,11 @@
 import json
+import math
 import random
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from deligne_simpson import exact_linalg as xl
 from deligne_simpson import tuple_lab as tl
@@ -22,6 +24,7 @@ from oracles import (
     commutation_system,
     det_cofactor,
     entrywise_product,
+    fraction_closes,
     frontier_algebra_dim,
     frontier_spin_dim,
     minor_rank,
@@ -304,6 +307,88 @@ def test_verify_closure_ranks_nothing(monkeypatch):
     add = MatrixTuple("additive", [RatMatrix.identity(2), RatMatrix.identity(2).scale(-1)], [[1, 1], [-1, -1]])
     monkeypatch.setattr(xl, "rank", lambda m: pytest.fail("verify_closure called rank"))
     assert tl.verify_closure(quad) and tl.verify_closure(add)
+
+
+@st.composite
+def closing_tuples(draw):
+    """(mode, nested-list matrices) of a tuple that closes: k - 1 drawn
+    matrices, each with entries over its own denominator d_j in {2, 4, 6}
+    and one entry of exactly that denominator (so s_j = d_j and, with
+    k >= 3, prod_j s_j exceeds their lcm), then (M_1...M_{k-1})^-1 or
+    -sum_j M_j."""
+    mode = draw(st.sampled_from(["multiplicative", "additive"]))
+    n = draw(st.integers(1, 4))
+    mats = []
+    for _ in range(draw(st.integers(2, 3))):
+        d = draw(st.sampled_from([2, 4, 6]))
+        entries = [F(x, d) for x in draw(st.lists(st.integers(-9, 9), min_size=n * n, max_size=n * n))]
+        p = draw(st.integers(0, n * n - 1))
+        entries[p] = F(draw(st.integers(-3, 3)) * d + 1, d)
+        m = RatMatrix(n, n, entries)
+        assume(mode == "additive" or det_cofactor(m.row_lists()) != 0)
+        mats.append(m)
+    mats.append(xl.inverse(xl.product(mats)) if mode == "multiplicative" else -sum(mats[1:], mats[0]))
+    return mode, [m.row_lists() for m in mats]
+
+
+@settings(max_examples=60, deadline=None)
+@given(closing_tuples(), st.data())
+def test_integer_closure_matches_the_fraction_product_and_sum(case, data):
+    """verify_closure on the stored rows of s_j M_j against the product
+    and sum in Fractions, on a closing tuple and on a copy with one entry
+    shifted by 1/q."""
+    mode, mats = case
+    n, k = len(mats[0]), len(mats)
+    t = MatrixTuple(mode, [RatMatrix.from_rows(m) for m in mats], [[1] * n] * k)
+    assert math.prod(t.scales[:-1]) != math.lcm(*t.scales[:-1])
+    assert fraction_closes(mode, mats) and tl.verify_closure(t)
+    j, i, c = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    shifted = [[row[:] for row in m] for m in mats]
+    shifted[j][i][c] += F(1, data.draw(st.integers(1, 7)))
+    assume(mode == "additive" or det_cofactor(shifted[j]) != 0)
+    u = MatrixTuple(mode, [RatMatrix.from_rows(m) for m in shifted], [[1] * n] * k)
+    assert not fraction_closes(mode, shifted) and not tl.verify_closure(u)
+
+
+def block_diagonal(a, b):
+    zero_a, zero_b = [F(0)] * a.rows, [F(0)] * b.rows
+    return RatMatrix.from_rows([[*a.row(i), *zero_b] for i in range(a.rows)] + [[*zero_a, *b.row(i)] for i in range(b.rows)])
+
+
+def test_report_reads_each_matrix_into_integers_once(monkeypatch):
+    """A multiplicative direct sum shaped like the benchmark's direct-sum
+    cells: in blocks of sizes 2 and 3, two regular Jordan matrices
+    conjugated by unimodular matrices and closed by the inverse of their
+    product, whose claim (1, five times) is wrong.  So report runs the
+    closure, the JNFs, Norton's test, the stacked centralizer and the
+    per-matrix centralizer fallback, and converts each matrix to integers
+    once, in ``MatrixTuple``, with no RatMatrix product."""
+    rng = random.Random(21)
+    classes = [
+        (Jnf([("2", [1]), ("-1", [1])]), Jnf([("2", [2]), ("-1", [1])])),
+        (Jnf([("3", [1]), ("1", [1])]), Jnf([("-2", [1]), ("1", [2])])),
+    ]
+    blocks = []
+    for jnfs in zip(*classes):  # the 2 x 2 block's classes, then the 3 x 3 block's
+        mats = []
+        for j in jnfs:
+            g = unimodular(rng, j.size)
+            mats.append(g @ tl.jordan_realization(j) @ xl.inverse(g))
+        blocks.append([*mats, xl.inverse(xl.product(mats))])
+    mats = [block_diagonal(a, b) for a, b in zip(*blocks)]
+    claims = [["2", "-1", "2", "2", "-1"], ["3", "1", "-2", "1", "1"], ["1"] * 5]
+    data = json.loads(json.dumps(MatrixTuple("multiplicative", mats, claims).to_json()))
+    calls = {"integer_matrix": 0, "matmul": 0}
+    for name in calls:
+        original = getattr(xl, name)
+        monkeypatch.setattr(xl, name, lambda *a, _f=original, _n=name: calls.update({_n: calls[_n] + 1}) or _f(*a))
+    rep = tl.report(MatrixTuple.from_json(data))
+    # a full Norton spin would make the centralizer 1 with no elimination,
+    # and a closed tuple with a wrong claim takes the fallback's dim C(M_3)
+    assert rep["closure"] is True and rep["wrong_spectrum"]
+    assert rep["centralizer_dim"] == 2 and rep["irreducible"] is False
+    assert rep["tangent_dim"] is not None
+    assert calls == {"integer_matrix": 3, "matmul": 0}
 
 
 def test_tuple_json_roundtrip():
