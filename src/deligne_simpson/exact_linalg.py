@@ -1,23 +1,25 @@
 """Exact dense linear algebra over the rationals.
 
 Scalars are ``fractions.Fraction`` values and every result is exact; no
-floating point anywhere.  Every rank and dimension check runs on one
-kernel, ``IntEchelon``: an incremental fraction-free echelon over the
-integers (after Bareiss, Math. Comp. 22, 1968), fed rows whose denominators
-have been cleared by scaling (``integer_matrix``).  Scaling a row, or a whole
-operator block, by a nonzero integer changes no rank.  The reduced row
-echelon form behind ``rref``, nullspace bases and solutions (an inverse
-solves m X = I) is the same echelon basis followed by a fraction-free
-back-substitution.  Every matrix product, dense or integer, is ``matmul_rows``.
+floating point anywhere.  Every ``RatMatrix`` also carries its integer form,
+read once when it is built: ``denominator``, s, the lcm of its entries'
+denominators, and ``numerators``, the rows of s M as ints.  Every rank and
+dimension check runs on one kernel, ``IntEchelon``: an incremental
+fraction-free echelon over the integers (after Bareiss, Math. Comp. 22,
+1968), fed those rows.  Scaling a row, or a whole operator block, by a
+nonzero integer changes no rank.  The reduced row echelon form behind
+``rref``, nullspace bases and solutions (an inverse solves m X = I) is the
+same echelon basis followed by a fraction-free back-substitution.  Every
+matrix product, dense or integer, is ``matmul_rows``.
 
 Vectorization convention: an n x n matrix X maps to the length n**2 vector
 vec(X) listing entries row by row (row-major).  Every operator matrix comes
 from one writer, ``intertwiner_rows``: X -> AX - XB written down entry by
 entry in O(n^4).  The commutator map is its case A = B, left and right
-multiplication by A its cases B = 0 and (0, -A).  ``integer_hom_dim`` is
-the one elimination of such operators stacked over a tuple of integer
-matrix pairs: the dimension of the intertwiners between two tuples, or of
-a tuple's centralizer.  ``hom_dim`` is its form for ``RatMatrix`` tuples.
+multiplication by A its cases B = 0 and (0, -A).  ``hom_dim`` is the one
+elimination of such operators stacked over a tuple of matrix pairs: the
+dimension of the intertwiners between two tuples, or of a tuple's
+centralizer.
 
 Serialization: rationals are strings "p/q" or "p" with the sign on the
 numerator; matrices are JSON arrays of arrays of such strings.  ``rat``,
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -89,11 +91,18 @@ def json_list(value, what: str) -> list:
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class RatMatrix:
-    """Immutable dense matrix with Fraction entries, stored row-major."""
+    """Immutable dense matrix with Fraction entries, stored row-major.
+
+    ``denominator`` is s, the lcm of the entries' denominators, and
+    ``numerators`` the rows of s M as ints: each entry p/q becomes
+    p (s // q), with no Fraction product formed.  Both are derived from the
+    entries, so they take no part in equality or hashing."""
 
     rows: int
     cols: int
     entries: tuple[Fraction, ...]
+    denominator: int = field(compare=False)
+    numerators: tuple[tuple[int, ...], ...] = field(compare=False)
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int | str | Fraction]):
         if rows < 1 or cols < 1:
@@ -104,6 +113,10 @@ class RatMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", data)
+        s = math.lcm(*(x.denominator for x in data))
+        flat = tuple(x.numerator * (s // x.denominator) for x in data)
+        object.__setattr__(self, "denominator", s)
+        object.__setattr__(self, "numerators", tuple(flat[i : i + cols] for i in range(0, rows * cols, cols)))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int | str | Fraction]]) -> RatMatrix:
@@ -241,27 +254,6 @@ def vstack(matrices: Sequence[RatMatrix]) -> RatMatrix:
     return RatMatrix(sum(m.rows for m in matrices), cols, out)
 
 
-def integer_row(values: Sequence[Fraction]) -> list[int]:
-    """values times the lcm of their denominators, as ints: a row with the
-    same span, since row scaling changes no rank or row space."""
-    scale = math.lcm(*(x.denominator for x in values))
-    return [x.numerator * (scale // x.denominator) for x in values]
-
-
-def integer_matrix(m: RatMatrix, scale: int | None = None) -> list[list[int]]:
-    """Rows of scale * m as ints, for scale a multiple of every denominator
-    of m; it defaults to their lcm.  A common scale for several matrices
-    comes from ``denominator_lcm``.  Each entry is p (scale // q), in ints,
-    for the entry p/q: no Fraction product is formed."""
-    if scale is None:
-        scale = denominator_lcm([m])
-    return [[x.numerator * (scale // x.denominator) for x in m.row(i)] for i in range(m.rows)]
-
-
-def denominator_lcm(matrices: Iterable[RatMatrix]) -> int:
-    return math.lcm(*(x.denominator for m in matrices for x in m.entries))
-
-
 class IntEchelon:
     """Incremental fraction-free row echelon basis over the integers.
 
@@ -326,12 +318,12 @@ def integer_rank(rows: Iterable[Sequence[int]], bound: int) -> int:
 
 def rank(m: RatMatrix) -> int:
     """Rank over the rationals, via the integer echelon kernel."""
-    return integer_rank((integer_row(m.row(i)) for i in range(m.rows)), min(m.rows, m.cols))
+    return integer_rank(m.numerators, min(m.rows, m.cols))
 
 
-def _reduced_echelon(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """The nonzero rows of the reduced row echelon form, with their pivot
-    columns in increasing order.
+def _reduced_echelon(rows: Iterable[Sequence[int]]) -> tuple[list[list[Fraction]], list[int]]:
+    """The nonzero rows of the reduced row echelon form of integer rows,
+    with their pivot columns in increasing order.
 
     ``IntEchelon`` stores each row zero in the pivot columns of the rows
     stored before it.  Going back from the last row, each row is reduced
@@ -342,7 +334,7 @@ def _reduced_echelon(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[Frac
     """
     basis = IntEchelon()
     for row in rows:
-        basis.add(integer_row(row))
+        basis.add(row)
     reduced, pivots = basis.rows, basis.pivots
     for i in reversed(range(len(reduced))):
         reduced[i] = _primitive(_reduce(reduced[i], reduced[i + 1 :], pivots[i + 1 :]))
@@ -355,14 +347,14 @@ def _reduced_echelon(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[Frac
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form (zero rows last) and its pivot columns."""
-    rows, pivots = _reduced_echelon(m.row_lists())
+    rows, pivots = _reduced_echelon(m.numerators)
     rows += [[Fraction(0)] * m.cols] * (m.rows - len(rows))
     return RatMatrix.from_rows(rows), tuple(pivots)
 
 
 def nullspace_basis(m: RatMatrix) -> list[RatMatrix]:
     """Exact basis of the right kernel, as column vectors; len = cols - rank."""
-    rows, pivots = _reduced_echelon(m.row_lists())
+    rows, pivots = _reduced_echelon(m.numerators)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
     basis = []
@@ -393,8 +385,7 @@ def solve(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     """One exact solution x of a @ x = b (free variables set to 0)."""
     if a.rows != b.rows:
         raise ShapeMismatchError("incompatible right-hand side")
-    aug = [list(a.row(i)) + list(b.row(i)) for i in range(a.rows)]
-    rows, pivots = _reduced_echelon(aug)
+    rows, pivots = _reduced_echelon(hstack([a, b]).numerators)
     ncols = a.cols
     if pivots and pivots[-1] >= ncols:
         raise NoSolutionError("inconsistent linear system")
@@ -428,24 +419,22 @@ def hom_dim(a: Sequence[RatMatrix], b: Sequence[RatMatrix]) -> int:
     """dim over Q of {Y : A_j Y = Y B_j for every j} (intertwiners b -> a);
     with a = b, the centralizer of the tuple.
 
-    Each pair is scaled to integers by one s, the lcm of the denominators
-    of both, and handed to ``integer_hom_dim``: s must be common, since
-    scaling A_j and B_j apart would change the map Y -> A_j Y - Y B_j, not
-    just multiply it.  With A_j = B_j, s is the lcm of A_j's denominators.
+    One stacked elimination of the ``intertwiner_rows`` of the integer
+    forms of each pair.  A pair whose two denominators differ is rescaled
+    to their lcm first: scaling A_j and B_j apart would change the map
+    Y -> A_j Y - Y B_j, not just multiply it.  When the matrices of every
+    pair are equal, I is in the kernel, so the rank stops at n^2 - 1.
     """
 
-    def scaled(x: RatMatrix, y: RatMatrix) -> tuple[list[list[int]], list[list[int]]]:
-        s = denominator_lcm([x, y])
-        return integer_matrix(x, s), integer_matrix(y, s)
+    def rows_at(m: RatMatrix, s: int) -> Sequence[Sequence[int]]:
+        """The rows of s m, for s a multiple of m's denominator."""
+        k = s // m.denominator
+        return m.numerators if k == 1 else [[k * v for v in row] for row in m.numerators]
 
-    return integer_hom_dim([scaled(x, y) for x, y in zip(a, b, strict=True)])
-
-
-def integer_hom_dim(pairs: Sequence[tuple[Sequence[Sequence[int]], Sequence[Sequence[int]]]]) -> int:
-    """dim over Q of {Y : A_j Y = Y B_j for every j}, for pairs of integer
-    rows (A_j, B_j): one stacked elimination of the ``intertwiner_rows`` of
-    each pair.  When the matrices of every pair are equal, I is in the
-    kernel, so the rank stops at n^2 - 1."""
+    pairs = []
+    for x, y in zip(a, b, strict=True):
+        s = math.lcm(x.denominator, y.denominator)
+        pairs.append((rows_at(x, s), rows_at(y, s)))
     n2 = len(pairs[0][0]) ** 2
     bound = n2 - 1 if all(x == y for x, y in pairs) else n2
     return n2 - integer_rank((row for x, y in pairs for row in intertwiner_rows(x, y)), bound)

@@ -8,10 +8,10 @@ rules, so no check below repeats them.  Eigenvalues are validated against
 rank sequences rather than computed, so everything stays inside exact
 rational arithmetic.
 
-Construction also reads each matrix into integers once: s_j, the lcm of
-the denominators of M_j (``MatrixTuple.scales``), and the integer rows of
-s_j M_j (``MatrixTuple.scaled``).  Every check on a tuple works on those
-rows; a nonzero scale changes no rank, kernel or span.
+Every check on a tuple works on each matrix's integer form, which
+``RatMatrix`` reads once when it is built: s_j, the lcm of the
+denominators of M_j (``denominator``), and the rows of s_j M_j
+(``numerators``); a nonzero scale changes no rank, kernel or span.
 
 The checks provided:
 
@@ -22,10 +22,9 @@ The checks provided:
   sequence rank((m - lam I)^k).  m - lam I is formed as integers, as
   q s (m - lam I) = q (s m) - p s I for lam = p/q and s the lcm of m's
   denominators (``_shifted``); Norton's theta below is formed the same
-  way.  ``jnf_of`` and ``report`` share one helper on the rows of s m
-  (``_scaled_jnf``);
-* ``centralizer_dim`` -- dim C(M) of the tuple,
-  ``exact_linalg.integer_hom_dim`` on the pairs (s_j M_j, s_j M_j): the
+  way;
+* ``centralizer_dim`` -- dim C(M) of the tuple: ``centralizer_dim_of`` on
+  its matrices, ``exact_linalg.hom_dim`` on the pairs (M_j, M_j), is the
   kernel dimension of the stacked commutator maps on the n^2-dimensional
   matrix space;
 * ``commut_surjective`` -- whether the summed commutator map is onto the
@@ -48,13 +47,13 @@ The checks provided:
   checks the literature's tangent numbers against);
 * ``orbit_dim`` -- dimension of the simultaneous conjugation orbit;
 * ``report`` -- all of the above for one tuple.  The JNFs come from
-  ``jnf_of``'s helper.  Its ``tangent_dim`` comes from trace duality
-  rather than from the differential: for a closed tuple the image of the
+  ``jnf_of``.  Its ``tangent_dim`` comes from trace duality rather than
+  from the differential: for a closed tuple the image of the
   differential is the orthogonal complement of the tuple's centralizer,
   so the tangent dimension is (k - 1) n^2 + dim C(tuple) - sum_j dim C(M_j)
   for k matrices.  Each dim C(M_j) is ``centralizer_dim_of_jnf`` of M_j's
   JNF when its claimed spectrum checks out, and otherwise the elimination
-  of ``centralizer_dim_of([M_j])``, run on the rows of s_j M_j.
+  of ``centralizer_dim_of([M_j])``.
   ``irreducible`` comes from Norton's test; when either of its spins is
   Q^n the centralizer is the scalars, and ``report`` sets
   ``centralizer_dim`` to 1 without the stacked elimination.  Without a
@@ -72,7 +71,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -94,17 +93,11 @@ class ClosureViolatedError(Exception):
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class MatrixTuple:
     """At least two square rational matrices of one size, with claimed
-    eigenvalue lists; in multiplicative mode each matrix is invertible.
-
-    ``scales[j]`` is s_j, the lcm of the denominators of M_j, and
-    ``scaled[j]`` the integer rows of s_j M_j, read once here for every
-    check below; both are derived, so they take no part in equality."""
+    eigenvalue lists; in multiplicative mode each matrix is invertible."""
 
     mode: str
     matrices: tuple[RatMatrix, ...]
     eigenvalue_lists: tuple[tuple[Fraction, ...], ...]
-    scales: tuple[int, ...] = field(compare=False)
-    scaled: tuple[tuple[tuple[int, ...], ...], ...] = field(compare=False)
 
     def __init__(
         self,
@@ -129,15 +122,11 @@ class MatrixTuple:
                 raise ValueError(f"each eigenvalue list must have length {n}")
             if mode == MULTIPLICATIVE and any(x == 0 for x in lst):
                 raise ValueError("multiplicative-mode eigenvalues must be nonzero")
-        scales = tuple(xl.denominator_lcm([m]) for m in mats)
-        scaled = tuple(tuple(map(tuple, xl.integer_matrix(m, s))) for m, s in zip(mats, scales))
-        if mode == MULTIPLICATIVE and any(xl.integer_rank(rows, n) < n for rows in scaled):
+        if mode == MULTIPLICATIVE and any(xl.integer_rank(m.numerators, n) < n for m in mats):
             raise ValueError("multiplicative-mode matrix is singular")
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "eigenvalue_lists", eigs)
-        object.__setattr__(self, "scales", scales)
-        object.__setattr__(self, "scaled", scaled)
 
     @property
     def n(self) -> int:
@@ -169,27 +158,28 @@ def verify_closure(t: MatrixTuple) -> bool:
     """Exact check of product = I (multiplicative) or sum = 0 (additive),
     on the integer rows of s_j M_j: prod_j (s_j M_j) = (prod_j s_j) I, or
     sum_j (L / s_j) (s_j M_j) = 0 with L the lcm of the s_j."""
+    scales = [m.denominator for m in t.matrices]
     if t.mode == MULTIPLICATIVE:
-        acc = t.scaled[0]
-        for rows in t.scaled[1:]:
-            acc = xl.matmul_rows(acc, rows)
-        scale = math.prod(t.scales)
+        acc = t.matrices[0].numerators
+        for m in t.matrices[1:]:
+            acc = xl.matmul_rows(acc, m.numerators)
+        scale = math.prod(scales)
         return all(x == (scale if i == j else 0) for i, row in enumerate(acc) for j, x in enumerate(row))
-    lcm = math.lcm(*t.scales)
-    weights = [lcm // s for s in t.scales]
+    lcm = math.lcm(*scales)
+    weights = [lcm // s for s in scales]
     # entries holds one position's entry of every s_j M_j
     return not any(
         sum(map(operator.mul, weights, entries))
-        for entries in zip(*(itertools.chain.from_iterable(rows) for rows in t.scaled))
+        for entries in zip(*(itertools.chain.from_iterable(m.numerators) for m in t.matrices))
     )
 
 
-def _shifted(scaled: Sequence[Sequence[int]], s: int, lam: Fraction) -> list[list[int]]:
-    """Rows of q s (M - lam I) as ints, for scaled the rows of s M and
-    lam = p/q: q (s M) - p s I, written entry by entry.  A nonzero scale
+def _shifted(m: RatMatrix, lam: Fraction) -> list[list[int]]:
+    """Rows of q s (m - lam I) as ints, for s m's denominator and
+    lam = p/q: q (s m) - p s I, written entry by entry.  A nonzero scale
     changes no rank or kernel."""
-    q, ps = lam.denominator, lam.numerator * s
-    rows = [[q * x for x in row] for row in scaled]
+    q, ps = lam.denominator, lam.numerator * m.denominator
+    rows = [[q * x for x in row] for row in m.numerators]
     for i, row in enumerate(rows):
         row[i] -= ps
     return rows
@@ -210,20 +200,13 @@ def jnf_of(m: RatMatrix, eigenvalues: Sequence[int | str | Fraction]) -> Jnf:
     values = [rat(x) for x in eigenvalues]
     if len(values) != n:
         raise ValueError(f"expected {n} eigenvalues, got {len(values)}")
-    s = xl.denominator_lcm([m])
-    return _scaled_jnf(xl.integer_matrix(m, s), s, values)
-
-
-def _scaled_jnf(scaled: Sequence[Sequence[int]], s: int, values: Sequence[Fraction]) -> Jnf:
-    """``jnf_of`` for the integer rows of s M and n claimed eigenvalues."""
-    n = len(scaled)
     claimed: dict[Fraction, int] = {}
     for v in values:
         claimed[v] = claimed.get(v, 0) + 1
     entries = []
     for lam in sorted(claimed):
         # q s (m - lam I): the scale (and its powers) changes no rank
-        shifted = _shifted(scaled, s, lam)
+        shifted = _shifted(m, lam)
         counts = []
         power = shifted
         prev = n
@@ -285,12 +268,7 @@ def centralizer_dim_of(matrices: Sequence[RatMatrix]) -> int:
 
 
 def centralizer_dim(t: MatrixTuple) -> int:
-    return xl.integer_hom_dim([(rows, rows) for rows in t.scaled])
-
-
-def _scaled_centralizer_dim(scaled: Sequence[Sequence[int]]) -> int:
-    """``centralizer_dim_of([M])`` for the integer rows of s M."""
-    return xl.integer_hom_dim([(scaled, scaled)])
+    return centralizer_dim_of(t.matrices)
 
 
 def has_trivial_centralizer(t: MatrixTuple) -> bool:
@@ -330,7 +308,7 @@ def algebra_dim(t: MatrixTuple) -> int:
 
     def products(row: list[int]):
         m = [row[i * n : (i + 1) * n] for i in range(n)]
-        return ((x for prod_row in xl.matmul_rows(m, g) for x in prod_row) for g in t.scaled)
+        return ((x for prod_row in xl.matmul_rows(m, g.numerators) for x in prod_row) for g in t.matrices)
 
     return _spin_dim((int(i == j) for i in range(n) for j in range(n)), products, n * n)
 
@@ -369,16 +347,17 @@ def norton_spins(t: MatrixTuple) -> tuple[bool, bool] | None:
       the spin of w, which every M_i^T keeps.
     """
     n = t.n
-    for scaled, s, eigs in zip(t.scaled, t.scales, t.eigenvalue_lists):
+    for m, eigs in zip(t.matrices, t.eigenvalue_lists):
         for lam in dict.fromkeys(eigs):
-            theta = _shifted(scaled, s, lam)
+            theta = _shifted(m, lam)
             if xl.integer_rank(theta, n) != n - 1:
                 continue
             (kernel,) = xl.nullspace_basis(RatMatrix.from_rows(theta))
             (cokernel,) = xl.nullspace_basis(RatMatrix.from_rows(list(zip(*theta))))
+            factors = [g.numerators for g in t.matrices]
             # g x for a column x is the row x^T g^T, and g^T y is the row y^T g
-            transposes = [list(zip(*g)) for g in t.scaled]
-            return _spans_everything(kernel, transposes), _spans_everything(cokernel, t.scaled)
+            transposes = [list(zip(*g)) for g in factors]
+            return _spans_everything(kernel, transposes), _spans_everything(cokernel, factors)
     return None
 
 
@@ -386,7 +365,7 @@ def _spans_everything(vector: RatMatrix, factors: Sequence[Sequence[Sequence[int
     """Whether the spin of the column vector, read as a row x, under
     x -> x f for every factor f is all of Q^n."""
     n = vector.rows
-    start = xl.integer_row(vector.entries)
+    start = (x for (x,) in vector.numerators)
     return _spin_dim(start, lambda row: (xl.matmul_rows([row], f)[0] for f in factors), n) == n
 
 
@@ -439,7 +418,7 @@ def tangent_dim(t: MatrixTuple) -> int:
         raise ClosureViolatedError("tuple does not close (product I / sum 0)")
     theta = corner_differential(t.matrices, t.matrices, t.mode)
     kernel_dim = theta.cols - xl.rank(theta)
-    return kernel_dim - sum(map(_scaled_centralizer_dim, t.scaled))
+    return kernel_dim - sum(centralizer_dim_of([m]) for m in t.matrices)
 
 
 def orbit_dim(t: MatrixTuple) -> int:
@@ -456,7 +435,7 @@ def conjugate(t: MatrixTuple, g: RatMatrix) -> MatrixTuple:
 
 def jnf_tuple_of(t: MatrixTuple) -> JnfTuple:
     """The tuple of JNFs of the matrices, from their claimed eigenvalues."""
-    return JnfTuple(_scaled_jnf(rows, s, eigs) for rows, s, eigs in zip(t.scaled, t.scales, t.eigenvalue_lists))
+    return JnfTuple(jnf_of(m, eigs) for m, eigs in zip(t.matrices, t.eigenvalue_lists))
 
 
 def report(t: MatrixTuple) -> dict:
@@ -468,9 +447,9 @@ def report(t: MatrixTuple) -> dict:
     # is the one ``jnf_tuple_of`` would raise
     jnfs: list[Jnf | None] = []
     wrong: list[str] = []
-    for rows, s, eigs in zip(t.scaled, t.scales, t.eigenvalue_lists):
+    for m, eigs in zip(t.matrices, t.eigenvalue_lists):
         try:
-            jnfs.append(_scaled_jnf(rows, s, eigs))
+            jnfs.append(jnf_of(m, eigs))
         except WrongSpectrumError as exc:
             jnfs.append(None)
             wrong.append(str(exc))
@@ -504,8 +483,8 @@ def report(t: MatrixTuple) -> dict:
     # when the claimed spectrum checks out, and found by elimination otherwise.
     if closed:
         single = sum(
-            _scaled_centralizer_dim(rows) if j is None else centralizer_dim_of_jnf(j)
-            for rows, j in zip(t.scaled, jnfs)
+            centralizer_dim_of([m]) if j is None else centralizer_dim_of_jnf(j)
+            for m, j in zip(t.matrices, jnfs)
         )
         out["tangent_dim"] = (len(t) - 1) * t.n**2 + cdim - single
         out["tangent_dim_is_formal"] = cdim != 1

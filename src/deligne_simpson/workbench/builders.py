@@ -297,17 +297,17 @@ def triangular_spaces(first: MatrixTuple, second: MatrixTuple) -> dict:
     t_vectors: list[RatMatrix] = []
     for vec in kernel:
         image = corners(_blocks(vec, n))
-        if t_basis.add(xl.integer_row(image.entries)):
+        if t_basis.add(x for (x,) in image.numerators):
             t_vectors.append(image)
     # one common Y, running over the unit matrices in row-major order
     units = [RatMatrix(n, n, [int(i == k) for i in range(n * n)]) for k in range(n * n)]
     q_vectors = [corners([unit] * len(ls)) for unit in units]
     q_basis = xl.IntEchelon()
     for vec in q_vectors:
-        q_basis.add(xl.integer_row(vec.entries))
+        q_basis.add(x for (x,) in vec.numerators)
     dim_q = len(q_basis)
     # the first basis vector of T outside the conjugation subspace
-    representative = next((vec for vec in t_vectors if q_basis.add(xl.integer_row(vec.entries))), None)
+    representative = next((vec for vec in t_vectors if q_basis.add(x for (x,) in vec.numerators)), None)
     _check(representative is not None, "no representative outside the conjugation subspace")
     return {
         "dim_full": len(t_vectors),

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import random
 from fractions import Fraction as F
 
@@ -118,6 +120,37 @@ def square_matrices(draw, max_dim=4):
     n = draw(st.integers(1, max_dim))
     entries = draw(st.lists(small, min_size=n * n, max_size=n * n))
     return RatMatrix(n, n, entries)
+
+
+@st.composite
+def rational_matrices(draw, max_dim=4):
+    """Entries with denominators up to 12, zero, negative and integer ones included."""
+    rows, cols = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
+    entries = draw(st.lists(st.fractions(-9, 9, max_denominator=12), min_size=rows * cols, max_size=rows * cols))
+    return RatMatrix(rows, cols, entries)
+
+
+@given(rational_matrices())
+def test_integer_form_is_the_least_integer_scale(m):
+    """numerators holds denominator * entry as ints, denominator is the
+    least scale that clears every entry, and neither field takes part in
+    equality or hashing: a twin written over doubled denominators equals m."""
+    for i in range(m.rows):
+        assert len(m.numerators[i]) == m.cols
+        for j in range(m.cols):
+            x = m.numerators[i][j]
+            assert type(x) is int and x == m.denominator * m[i, j]
+    assert len(m.numerators) == m.rows
+    assert math.gcd(m.denominator, *(x for row in m.numerators for x in row)) == 1
+    twin = RatMatrix.from_rows([[f"{2 * x.numerator}/{2 * x.denominator}" for x in m.row(i)] for i in range(m.rows)])
+    assert twin == m and hash(twin) == hash(m)
+
+
+def test_integer_form_takes_no_part_in_equality():
+    half = RatMatrix.from_rows([["2/4"]])
+    assert half == RatMatrix(1, 1, [F(1, 2)]) and hash(half) == hash(RatMatrix(1, 1, [F(1, 2)]))
+    assert (half.denominator, half.numerators) == (2, ((1,),))
+    assert [f.name for f in dataclasses.fields(RatMatrix) if f.compare or f.hash] == ["rows", "cols", "entries"]
 
 
 @given(matrices())

@@ -101,7 +101,7 @@ def test_hom_dim_uses_one_scale_per_pair(seed, n, count):
     a = seeded_tuple(rng, n, count, rng.choice(["generic", "direct_sum"]))
     g = random_invertible(rng, n).scale(F(1, rng.choice([13, 17, 19])))
     b = conjugate_all(a, xl.inverse(g))  # b_j = g^-1 a_j g, so Y = Z g intertwines
-    assert any(xl.denominator_lcm([x]) != xl.denominator_lcm([y]) for x, y in zip(a, b))
+    assert any(x.denominator != y.denominator for x, y in zip(a, b))
     system = xl.vstack([oracle_intertwiner(x, y) for x, y in zip(a, b)])
     got = hom_dim(a, b)
     assert got == xl.nullity(system)
@@ -238,12 +238,13 @@ def test_intertwiner_rows_match_dense_operators():
         hom_dim([RatMatrix.identity(2)], [RatMatrix.identity(3)])
 
 
-def test_integer_matrix_scales_by_denominator_lcm():
+def test_integer_form_scales_by_denominator_lcm():
     m = RatMatrix.from_rows([[F(1, 2), F(1, 3)], [F(-5, 6), 4]])
-    assert xl.integer_matrix(m) == [[3, 2], [-5, 24]]
-    assert xl.integer_matrix(m, 12) == [[6, 4], [-10, 48]]
-    assert xl.denominator_lcm([m, RatMatrix.from_rows([[F(1, 4)]])]) == 12
-    assert all(type(x) is int for row in xl.integer_matrix(m) for x in row)
+    assert m.denominator == 6
+    assert m.numerators == ((3, 2), (-5, 24))
+    assert m.scale(2).denominator == 3 and m.scale(2).numerators == ((3, 2), (-5, 24))
+    assert RatMatrix.from_rows([[F(1, 4)]]).numerators == ((1,),)
+    assert all(type(x) is int for row in m.numerators for x in row)
 
 
 def test_int_echelon_zero_and_repeated_rows():
