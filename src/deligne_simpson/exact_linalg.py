@@ -7,10 +7,12 @@ denominators, and ``numerators``, the rows of s M as ints.  Every rank and
 dimension check runs on one kernel, ``IntEchelon``: an incremental
 fraction-free echelon over the integers (after Bareiss, Math. Comp. 22,
 1968), fed those rows.  Scaling a row, or a whole operator block, by a
-nonzero integer changes no rank.  The reduced row echelon form behind
-``rref``, nullspace bases and solutions (an inverse solves m X = I) is the
-same echelon basis followed by a fraction-free back-substitution.  Every
-matrix product, dense or integer, is ``matmul_rows``.
+nonzero integer changes no rank.  The same echelon basis followed by one
+fraction-free back-substitution gives the reduced row echelon form as
+primitive integer rows; ``integer_kernel`` reads integer kernel vectors
+off them, and ``rref``, nullspace bases and solutions (an inverse solves
+m X = I) divide by the pivots only where they build their Fraction
+results.  Every matrix product, dense or integer, is ``matmul_rows``.
 
 Vectorization convention: an n x n matrix X maps to the length n**2 vector
 vec(X) listing entries row by row (row-major).  Every operator matrix comes
@@ -321,16 +323,18 @@ def rank(m: RatMatrix) -> int:
     return integer_rank(m.numerators, min(m.rows, m.cols))
 
 
-def _reduced_echelon(rows: Iterable[Sequence[int]]) -> tuple[list[list[Fraction]], list[int]]:
+def _reduced_echelon(rows: Iterable[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
     """The nonzero rows of the reduced row echelon form of integer rows,
-    with their pivot columns in increasing order.
+    each kept as a primitive integer row (not divided by its pivot), with
+    their pivot columns in increasing order.
 
     ``IntEchelon`` stores each row zero in the pivot columns of the rows
     stored before it.  Going back from the last row, each row is reduced
     against the rows after it, which are already zero in every other pivot
-    column, so each pivot column ends up zero outside its own row; then each
-    row is divided by its pivot.  The reduced echelon form of a row space is
-    unique, so this is exactly the Gauss-Jordan result.
+    column, so each pivot column ends up zero outside its own row.  Row
+    over pivot is then exactly the Gauss-Jordan result, since the reduced
+    echelon form of a row space is unique; each caller divides by the
+    pivot only where it builds a Fraction result.
     """
     basis = IntEchelon()
     for row in rows:
@@ -339,31 +343,40 @@ def _reduced_echelon(rows: Iterable[Sequence[int]]) -> tuple[list[list[Fraction]
     for i in reversed(range(len(reduced))):
         reduced[i] = _primitive(_reduce(reduced[i], reduced[i + 1 :], pivots[i + 1 :]))
     order = sorted(range(len(pivots)), key=pivots.__getitem__)
-    return (
-        [[Fraction(x, reduced[i][pivots[i]]) for x in reduced[i]] for i in order],
-        [pivots[i] for i in order],
-    )
+    return [reduced[i] for i in order], [pivots[i] for i in order]
+
+
+def integer_kernel(rows: Iterable[Sequence[int]], cols: int) -> list[list[int]]:
+    """A basis of the right kernel of integer rows of length cols: for each
+    non-pivot column c, the primitive integer vector that is positive at c
+    and 0 at every other non-pivot column.  A reduced row is 0 before its
+    pivot, so c holds the vector's last nonzero entry."""
+    reduced, pivots = _reduced_echelon(rows)
+    kernel = []
+    for c in sorted(set(range(cols)).difference(pivots)):
+        d = math.lcm(*(row[p] for row, p in zip(reduced, pivots) if row[c]))
+        v = [0] * cols
+        v[c] = d
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[c] * d // row[p]
+        kernel.append(_primitive(v))
+    return kernel
 
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form (zero rows last) and its pivot columns."""
     rows, pivots = _reduced_echelon(m.numerators)
-    rows += [[Fraction(0)] * m.cols] * (m.rows - len(rows))
-    return RatMatrix.from_rows(rows), tuple(pivots)
+    out = [[Fraction(x, row[p]) for x in row] for row, p in zip(rows, pivots)]
+    return RatMatrix.from_rows(out + [[Fraction(0)] * m.cols] * (m.rows - len(rows))), tuple(pivots)
 
 
 def nullspace_basis(m: RatMatrix) -> list[RatMatrix]:
-    """Exact basis of the right kernel, as column vectors; len = cols - rank."""
-    rows, pivots = _reduced_echelon(m.numerators)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
+    """Exact basis of the right kernel, as column vectors; len = cols - rank.
+    Each vector is 1 at its own non-pivot column and 0 at the others."""
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * m.cols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
-        basis.append(RatMatrix.column(vec))
+    for v in integer_kernel(m.numerators, m.cols):
+        last = next(x for x in reversed(v) if x)  # the entry at v's own non-pivot column
+        basis.append(RatMatrix.column([Fraction(x, last) for x in v]))
     return basis
 
 
@@ -385,14 +398,20 @@ def solve(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     """One exact solution x of a @ x = b (free variables set to 0)."""
     if a.rows != b.rows:
         raise ShapeMismatchError("incompatible right-hand side")
-    rows, pivots = _reduced_echelon(hstack([a, b]).numerators)
-    ncols = a.cols
-    if pivots and pivots[-1] >= ncols:
+    s = math.lcm(a.denominator, b.denominator)
+    rows, pivots = _reduced_echelon([*x, *y] for x, y in zip(_rows_at(a, s), _rows_at(b, s)))
+    if pivots and pivots[-1] >= a.cols:
         raise NoSolutionError("inconsistent linear system")
-    out = [[Fraction(0)] * b.cols for _ in range(ncols)]
-    for r, pc in enumerate(pivots):
-        out[pc] = rows[r][ncols:]
+    out = [[Fraction(0)] * b.cols for _ in range(a.cols)]
+    for row, pc in zip(rows, pivots):
+        out[pc] = [Fraction(x, row[pc]) for x in row[a.cols :]]
     return RatMatrix.from_rows(out)
+
+
+def _rows_at(m: RatMatrix, s: int) -> Sequence[Sequence[int]]:
+    """The rows of s m, for s a multiple of m's denominator."""
+    k = s // m.denominator
+    return m.numerators if k == 1 else [[k * v for v in row] for row in m.numerators]
 
 
 def intertwiner_rows(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
@@ -425,16 +444,10 @@ def hom_dim(a: Sequence[RatMatrix], b: Sequence[RatMatrix]) -> int:
     Y -> A_j Y - Y B_j, not just multiply it.  When the matrices of every
     pair are equal, I is in the kernel, so the rank stops at n^2 - 1.
     """
-
-    def rows_at(m: RatMatrix, s: int) -> Sequence[Sequence[int]]:
-        """The rows of s m, for s a multiple of m's denominator."""
-        k = s // m.denominator
-        return m.numerators if k == 1 else [[k * v for v in row] for row in m.numerators]
-
     pairs = []
     for x, y in zip(a, b, strict=True):
         s = math.lcm(x.denominator, y.denominator)
-        pairs.append((rows_at(x, s), rows_at(y, s)))
+        pairs.append((_rows_at(x, s), _rows_at(y, s)))
     n2 = len(pairs[0][0]) ** 2
     bound = n2 - 1 if all(x == y for x, y in pairs) else n2
     return n2 - integer_rank((row for x, y in pairs for row in intertwiner_rows(x, y)), bound)

@@ -230,17 +230,19 @@ def jnf_of(m: RatMatrix, eigenvalues: Sequence[int | str | Fraction]) -> Jnf:
 
 
 def class_membership(m: RatMatrix, j: Jnf) -> bool:
-    """True iff m has JNF j, where j's labels are concrete rational values."""
+    """True iff m has JNF j, where j's labels are concrete rational values;
+    a label names its value, so "2/4" and "1/2" are one label."""
     try:
-        values = []
-        for label, part in j.blocks_by_eigenvalue:
-            values.extend([rational_from_str(label)] * part.total())
+        blocks = [(rational_from_str(label), part) for label, part in j.blocks_by_eigenvalue]
     except ValueError as exc:
         raise ValueError("class_membership needs rational eigenvalue labels") from exc
-    if len(values) != m.rows:
+    # jnf_of labels each value canonically ("2/4" as "1/2"); as in Jnf, two
+    # labels of one value are duplicates
+    j = Jnf((rational_to_str(lam), part) for lam, part in blocks)
+    if j.size != m.rows:
         raise xl.ShapeMismatchError("JNF size differs from the matrix size")
     try:
-        return jnf_of(m, values) == j
+        return jnf_of(m, [lam for lam, part in blocks for _ in range(part.total())]) == j
     except WrongSpectrumError:
         return False
 
@@ -322,9 +324,12 @@ def norton_spins(t: MatrixTuple) -> tuple[bool, bool] | None:
     eigenvalue lam, in claim order, of rank(M_j - lam I) = n - 1; a wrong
     claim only fails that rank check.  theta is taken as the integer rows
     of q s (M_j - lam I) (``_shifted``), which have the same rank and
-    kernels.  v spans ker theta and w spans ker theta^T.  The spin of v
-    is the smallest subspace that contains v and that every M_i keeps;
-    the spin of w is the same under the M_i^T.
+    kernels.  One elimination of theta (``exact_linalg.integer_kernel``)
+    gives its integer kernel basis; a basis of one vector v is the rank
+    check, and a second elimination, of theta^T, gives the integer vector
+    w that spans ker theta^T.  Nothing is formed as a Fraction.  The spin
+    of v is the smallest subspace that contains v and that every M_i
+    keeps; the spin of w is the same under the M_i^T.
 
     theta lies in the generated algebra A and has a 1-dimensional kernel,
     and that is all the following uses.
@@ -350,23 +355,19 @@ def norton_spins(t: MatrixTuple) -> tuple[bool, bool] | None:
     for m, eigs in zip(t.matrices, t.eigenvalue_lists):
         for lam in dict.fromkeys(eigs):
             theta = _shifted(m, lam)
-            if xl.integer_rank(theta, n) != n - 1:
+            kernel = xl.integer_kernel(theta, n)
+            if len(kernel) != 1:  # rank(theta) != n - 1
                 continue
-            (kernel,) = xl.nullspace_basis(RatMatrix.from_rows(theta))
-            (cokernel,) = xl.nullspace_basis(RatMatrix.from_rows(list(zip(*theta))))
+            (cokernel,) = xl.integer_kernel(zip(*theta), n)
             factors = [g.numerators for g in t.matrices]
             # g x for a column x is the row x^T g^T, and g^T y is the row y^T g
             transposes = [list(zip(*g)) for g in factors]
-            return _spans_everything(kernel, transposes), _spans_everything(cokernel, factors)
+
+            def spans(start: list[int], fs: list) -> bool:
+                return _spin_dim(start, lambda row: (xl.matmul_rows([row], f)[0] for f in fs), n) == n
+
+            return spans(kernel[0], transposes), spans(cokernel, factors)
     return None
-
-
-def _spans_everything(vector: RatMatrix, factors: Sequence[Sequence[Sequence[int]]]) -> bool:
-    """Whether the spin of the column vector, read as a row x, under
-    x -> x f for every factor f is all of Q^n."""
-    n = vector.rows
-    start = (x for (x,) in vector.numerators)
-    return _spin_dim(start, lambda row: (xl.matmul_rows([row], f)[0] for f in factors), n) == n
 
 
 def is_irreducible(t: MatrixTuple) -> bool:

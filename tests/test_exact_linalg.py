@@ -265,3 +265,67 @@ def test_reduced_echelon_results_satisfy_their_definitions(seed, rows, cols):
     else:
         with pytest.raises(xl.SingularMatrixError):
             xl.inverse(square)
+
+
+@st.composite
+def integer_rows(draw):
+    """1-5 integer rows of length 1-6: random, zero, and multiples of an
+    earlier row."""
+    cols = draw(st.integers(1, 6))
+    rows = [draw(st.lists(small, min_size=cols, max_size=cols))]
+    while len(rows) < 5 and draw(st.booleans()):
+        kind = draw(st.sampled_from(["random", "zero", "repeat"]))
+        if kind == "random":
+            rows.append(draw(st.lists(small, min_size=cols, max_size=cols)))
+        elif kind == "zero":
+            rows.append([0] * cols)
+        else:
+            k = draw(st.integers(-3, 3))
+            rows.append([k * x for x in draw(st.sampled_from(rows))])
+    draw(st.randoms(use_true_random=False)).shuffle(rows)
+    return rows, cols
+
+
+@given(integer_rows())
+def test_integer_kernel_vectors_are_primitive_and_end_at_their_own_free_column(case):
+    rows, cols = case
+    kernel = xl.integer_kernel(rows, cols)
+    assert len(kernel) == cols - minor_rank([[F(x) for x in row] for row in rows])
+    m = RatMatrix.from_rows(rows)
+    _, pivots = xl.rref(m)
+    free = [c for c in range(cols) if c not in pivots]
+    lasts = []
+    for v in kernel:
+        assert len(v) == cols and all(type(x) is int for x in v)
+        assert math.gcd(*v) == 1
+        assert all(sum(map(int.__mul__, row, v)) == 0 for row in rows)
+        c = max(i for i, x in enumerate(v) if x)
+        assert v[c] > 0 and c in free
+        assert all(v[k] == 0 for k in free if k != c)
+        lasts.append(c)
+    assert lasts == free
+    # nullspace_basis is the same kernel, each vector divided by its last
+    # nonzero entry: 1 at its own non-pivot column and 0 at the others
+    basis = xl.nullspace_basis(m)
+    assert [list(b.entries) for b in basis] == [[F(x, v[c]) for x in v] for v, c in zip(kernel, free)]
+    for b, c in zip(basis, free):
+        assert (m @ b).is_zero()
+        assert all(b[k, 0] == (k == c) for k in free)
+
+
+def test_solve_brings_both_sides_to_one_scale():
+    a = RatMatrix.from_rows([[F(1, 2), F(1, 3)], [F(1, 4), 1]])
+    sides = [
+        RatMatrix.from_rows([[F(1, 5), 1], [F(2, 7), F(-3, 10)]]),
+        RatMatrix.column([2, -1]),
+        RatMatrix.column([F(1, 6), F(1, 12)]),
+    ]
+    assert (a.denominator, [b.denominator for b in sides]) == (12, [70, 1, 12])
+    for b in sides:
+        assert a @ xl.solve(a, b) == b
+    singular = RatMatrix.from_rows([[F(1, 2), F(1, 3), 0], [F(3, 2), 1, 0]])
+    b = RatMatrix.column([F(1, 7), F(3, 7)])
+    x = xl.solve(singular, b)
+    assert singular @ x == b and x[1, 0] == x[2, 0] == 0  # free variables set to 0
+    with pytest.raises(xl.NoSolutionError):
+        xl.solve(singular, RatMatrix.column([F(1, 7), F(1, 5)]))

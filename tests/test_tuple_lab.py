@@ -161,6 +161,24 @@ def test_class_membership_examples():
         tl.class_membership(m, Jnf([("x", [1, 1])]))
 
 
+@pytest.mark.parametrize("diagonal,labels,member", [
+    ([F(1, 2), 3], ["2/4", "3"], True),
+    ([F(1, 2), 3], ["1/2", "+3"], True),
+    ([F(1, 2), 3], ["1/2", "03"], True),
+    ([F(1, 2), 3], ["1/2", "6/2"], True),
+    ([0, 1], ["-0", "1"], True),
+    ([F(1, 3), 3], ["2/4", "3"], False),
+])
+def test_class_membership_reads_labels_as_values(diagonal, labels, member):
+    j = Jnf([(label, [1]) for label in labels])
+    assert tl.class_membership(RatMatrix.diagonal(diagonal), j) is member
+
+
+def test_class_membership_rejects_two_labels_of_one_value():
+    with pytest.raises(ValueError, match="duplicate"):
+        tl.class_membership(RatMatrix.diagonal([F(1, 2)] * 2), Jnf([("1/2", [1]), ("2/4", [1])]))
+
+
 def test_centralizer_examples():
     quad = build_trivial_centralizer_quadruple()
     assert tl.centralizer_dim(quad) == 1
@@ -526,18 +544,24 @@ def oracle_spins(t):
     return None
 
 
+def seeded_block_triangular_tuples():
+    """48 seeded ``block_triangular_claims`` tuples, n 2-6, 2 or 3 matrices."""
+    rng = random.Random(2)
+    for _ in range(48):
+        n = rng.randint(2, 6)
+        yield block_triangular_claims(rng, n, rng.randint(2, 3))
+
+
 def test_norton_route_matches_the_dense_references(monkeypatch):
     """Seeded block-triangular tuples, n 2-6, some with fractional
     eigenvalues and claims: Norton's verdict against the
     generated algebra's dimension and report's centralizer against the
     stacked elimination, with both spins full, only v's, only w's, neither,
     and no theta (the fallback), each drawn at least 5 times."""
-    rng = random.Random(2)
     seen = {"both": 0, "only v": 0, "only w": 0, "neither": 0, "no theta": 0}
     closures, eliminations = count_routes(monkeypatch)
-    for _ in range(48):
-        n = rng.randint(2, 6)
-        t = block_triangular_claims(rng, n, rng.randint(2, 3))
+    for t in seeded_block_triangular_tuples():
+        n = t.n
         spins = oracle_spins(t)
         case = "no theta" if spins is None else {
             (True, True): "both", (True, False): "only v", (False, True): "only w", (False, False): "neither"
@@ -553,6 +577,46 @@ def test_norton_route_matches_the_dense_references(monkeypatch):
         assert closures == ([t] if spins is None and cdim == 1 else [])
         assert eliminations == ([] if spins is not None and any(spins) else [t])
     assert min(seen.values()) >= 5, seen
+
+
+def test_norton_reads_both_kernels_from_integer_eliminations(monkeypatch):
+    """norton_spins ranks no theta apart from its two kernel eliminations
+    and forms no Fraction kernel vector: with integer_rank,
+    nullspace_basis, RatMatrix.from_rows and RatMatrix.column failing, it
+    returns the spins found before, and report (which still ranks through
+    jnf_of and hom_dim, so integer_rank stays) the same dict.  On the
+    seeded block-triangular tuples and on tuples shaped like the
+    benchmark's cells: closed triangular ones conjugated by a unimodular
+    matrix, a direct sum of two of them, and two regular Jordan matrices
+    with fractional eigenvalues closed by minus their sum."""
+    rng = random.Random(23)
+    tuples = list(seeded_block_triangular_tuples())
+    for mode in ("multiplicative", "additive"):
+        for n in (4, 5, 6):
+            tuples.append(closed_triangular_tuple(rng, mode, n, 3, unimodular(rng, n)))
+        a, b = (closed_triangular_tuple(rng, mode, k, 3, unimodular(rng, k)) for k in (2, 3))
+        claims = [[*x, *y] for x, y in zip(a.eigenvalue_lists, b.eigenvalue_lists)]
+        direct_sum = MatrixTuple(mode, [block_diagonal(x, y) for x, y in zip(a.matrices, b.matrices)], claims)
+        tuples.append(tl.conjugate(direct_sum, unimodular(rng, 5)))
+    mats, claims = [], []
+    for values, sizes in (([F(1, 2), F(-2, 3)], [3, 2]), ([F(3, 7), F(-1)], [2, 3])):
+        g = unimodular(rng, 5)
+        mats.append(g @ tl.jordan_realization(Jnf([(str(v), [k]) for v, k in zip(values, sizes)])) @ xl.inverse(g))
+        claims.append([v for v, k in zip(values, sizes) for _ in range(k)])
+    tuples.append(MatrixTuple("additive", [*mats, -(mats[0] + mats[1])], [*claims, [0] * 5]))
+    expected = [(tl.norton_spins(t), tl.report(t)) for t in tuples]
+    assert sum(spins is not None for spins, _ in expected) >= 40
+
+    def fail(name):
+        return lambda *args: pytest.fail(f"Norton's test called {name}")
+
+    with monkeypatch.context() as patch:
+        for owner, name in ((xl, "nullspace_basis"), (RatMatrix, "from_rows"), (RatMatrix, "column")):
+            patch.setattr(owner, name, fail(name))
+        reports = [tl.report(t) for t in tuples]
+        patch.setattr(xl, "integer_rank", fail("integer_rank"))
+        spins = [tl.norton_spins(t) for t in tuples]
+    assert list(zip(spins, reports)) == expected
 
 
 def test_report_shifts_by_lam_in_integers(monkeypatch):
