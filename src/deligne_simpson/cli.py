@@ -219,11 +219,12 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    parts = [p.strip() for p in args.parts.split(",") if p.strip()]
+    parts = [p.strip() for p in args.parts.split(",")]
     with _malformed(f"bad partition {args.parts!r}"):
-        # int() alone would also read "1_0", "+2" and non-ASCII digits
+        # int() alone would also read "1_0", "+2" and non-ASCII digits; an
+        # empty part ("3,,1", "4,3,") is an error, not a part to skip
         if not all(re.fullmatch(r"[0-9]+", p) for p in parts):
-            raise ValueError("each part must be ASCII digits")
+            raise ValueError("each part must be one or more ASCII digits")
         partition = Partition(capped(int(p) for p in parts))
     result = partition.dual()
     if args.json:

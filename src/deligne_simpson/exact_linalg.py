@@ -444,6 +444,8 @@ def hom_dim(a: Sequence[RatMatrix], b: Sequence[RatMatrix]) -> int:
     Y -> A_j Y - Y B_j, not just multiply it.  When the matrices of every
     pair are equal, I is in the kernel, so the rank stops at n^2 - 1.
     """
+    if not a or not b:
+        raise ValueError("hom_dim of an empty matrix tuple: there is no size n to read")
     pairs = []
     for x, y in zip(a, b, strict=True):
         s = math.lcm(x.denominator, y.denominator)

@@ -88,11 +88,6 @@ class FormalScalar:
     ) -> FormalScalar:
         return cls(ADDITIVE, _as_terms(coefficients), rat(constant))
 
-    @classmethod
-    def identity(cls, mode: str) -> FormalScalar:
-        """The unit (multiplicative) or zero (additive) scalar."""
-        return cls(mode, (), Fraction(0))
-
     def is_identity(self) -> bool:
         return not self.terms and self.offset == 0
 
@@ -206,9 +201,10 @@ class SpectrumAssignment:
         mode = data.get("mode", MULTIPLICATIVE)
         declared = set(json_list(data["symbols"], "symbols")) if "symbols" in data else None
         classes = []
-        for cls_data in data["classes"]:
+        for cls_data in json_list(data["classes"], "classes"):
             entries = []
-            for item in cls_data:
+            for item in json_list(cls_data, "class"):
+                _require_object(item, "class entry")
                 scalar = FormalScalar.from_json(item["scalar"], mode)
                 if declared is not None and not set(scalar.symbols()) <= declared:
                     raise ValueError(f"undeclared symbols in {scalar!r}")

@@ -31,7 +31,7 @@ membership and closure, and raise ConstructionFailedError on any mismatch.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .. import exact_linalg as xl
 from ..exact_linalg import RatMatrix, hom_dim, rat
@@ -77,8 +77,8 @@ def _prime_exponents(k: int) -> dict[str, int]:
             out[str(p)] = out.get(str(p), 0) + 1
             k //= p
         p += 1
-    if k > 1:
-        out[str(k)] = out.get(str(k), 0) + 1
+    if k > 1:  # a prime above every p divided out
+        out[str(k)] = 1
     return out
 
 
@@ -89,11 +89,9 @@ def scalar_from_rational(x: Fraction) -> FormalScalar:
     x = rat(x)
     if x == 0:
         raise ValueError("0 has no multiplicative encoding")
-    exponents: dict[str, int] = {}
-    for sym, e in _prime_exponents(x.numerator if x > 0 else -x.numerator).items():
-        exponents[sym] = exponents.get(sym, 0) + e
-    for sym, e in _prime_exponents(x.denominator).items():
-        exponents[sym] = exponents.get(sym, 0) - e
+    # numerator and denominator are coprime, so no prime appears in both
+    exponents = _prime_exponents(abs(x.numerator))
+    exponents.update((sym, -e) for sym, e in _prime_exponents(x.denominator).items())
     return FormalScalar.multiplicative(exponents, Fraction(1, 2) if x < 0 else 0)
 
 
@@ -270,16 +268,16 @@ def build_second_block_triple() -> MatrixTuple:
 
 
 def triangular_spaces(first: MatrixTuple, second: MatrixTuple) -> dict:
-    """The linear spaces attached to block upper-triangular triples
+    """The linear spaces attached to block upper-triangular k-tuples
     [[L_j, T_j], [0, B_j]] with product I.
 
-    * full space: triples (T_1, T_2, T_3) with T_j = L_j Y_j - Y_j B_j for
+    * full space T: tuples (T_1, ..., T_k) with T_j = L_j Y_j - Y_j B_j for
       independent Y_j, subject to the upper-right block of the product
-      condition T_1 B_2 B_3 + L_1 T_2 B_3 + L_1 L_2 T_3 = 0;
-    * conjugation subspace: the triples with one common Y.
+      condition, sum over j of L_1 ... L_{j-1} T_j B_{j+1} ... B_k = 0;
+    * conjugation subspace Q: the tuples with one common Y.
 
-    Returns both dimensions, bases, and a representative of the full space
-    outside the conjugation subspace.
+    Returns a basis of each space, their lengths as the dimensions, and
+    the first basis vector of T outside Q as a representative.
     """
     ls = first.matrices
     bs = second.matrices
@@ -290,30 +288,27 @@ def triangular_spaces(first: MatrixTuple, second: MatrixTuple) -> dict:
         pieces = (l @ y - y @ b for l, y, b in zip(ls, ys, bs, strict=True))
         return RatMatrix.column([x for piece in pieces for x in piece.entries])
 
+    def new_to(echelon: xl.IntEchelon, vectors: Iterable[RatMatrix]) -> Iterator[RatMatrix]:
+        """The vectors, in order, outside the span of echelon and of those kept before them;
+        each one kept is added to echelon."""
+        return (vec for vec in vectors if echelon.add(x for (x,) in vec.numerators))
+
     # The upper-right block of the product condition, as a function of the
     # Y_j, is the corner differential; T is the corners of its kernel.
     kernel = xl.nullspace_basis(corner_differential(ls, bs, MULTIPLICATIVE))
-    t_basis = xl.IntEchelon()
-    t_vectors: list[RatMatrix] = []
-    for vec in kernel:
-        image = corners(_blocks(vec, n))
-        if t_basis.add(x for (x,) in image.numerators):
-            t_vectors.append(image)
+    t_basis = list(new_to(xl.IntEchelon(), (corners(_blocks(vec, n)) for vec in kernel)))
     # one common Y, running over the unit matrices in row-major order
     units = [RatMatrix(n, n, [int(i == k) for i in range(n * n)]) for k in range(n * n)]
-    q_vectors = [corners([unit] * len(ls)) for unit in units]
-    q_basis = xl.IntEchelon()
-    for vec in q_vectors:
-        q_basis.add(x for (x,) in vec.numerators)
-    dim_q = len(q_basis)
-    # the first basis vector of T outside the conjugation subspace
-    representative = next((vec for vec in t_vectors if q_basis.add(x for (x,) in vec.numerators)), None)
+    q_echelon = xl.IntEchelon()
+    q_basis = list(new_to(q_echelon, (corners([unit] * len(ls)) for unit in units)))
+    # the first basis vector of T outside Q
+    representative = next(new_to(q_echelon, t_basis), None)
     _check(representative is not None, "no representative outside the conjugation subspace")
     return {
-        "dim_full": len(t_vectors),
-        "dim_conjugation": dim_q,
-        "full_basis": t_vectors,
-        "conjugation_basis": q_vectors,
+        "dim_full": len(t_basis),
+        "dim_conjugation": len(q_basis),
+        "full_basis": t_basis,
+        "conjugation_basis": q_basis,
         "representative": representative,
     }
 

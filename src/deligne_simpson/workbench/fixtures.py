@@ -303,7 +303,7 @@ def _split_sum_example() -> Fixture:
     jt = JnfTuple([Jnf.diagonal([2, 1])] * 4)
     a = _mult({"a": 1}); b = _mult({"b": 1}); c = _mult({"c": 1})
     d = _mult({"a": -1, "b": -1, "c": -1})
-    one = FormalScalar.identity("multiplicative")
+    one = _mult()
     spectrum = SpectrumAssignment([
         [(a, 1), (one, 2)],
         [(b, 1), (one, 2)],

@@ -59,6 +59,10 @@ def test_dual(capsys):
         assert code == 2 and out == "" and "bad partition" in err
     code, out, _ = run(capsys, "dual", "4, 3, 3")
     assert code == 0 and out.strip() == "3,3,3,1"
+    # an empty part is an error, not a part to skip
+    for literal in ("3,,1", "4,3,", ",4", "4, ,3"):
+        code, out, err = run(capsys, "dual", literal)
+        assert code == 2 and out == "" and "bad partition" in err, literal
 
 
 def test_dual_rejects_parts_past_the_size_cap_before_expanding_them(capsys):
@@ -290,26 +294,29 @@ FIRST_SCALAR = ("spectrum", "classes", 0, 0)
 
 
 @pytest.mark.parametrize(
-    "path, value",
+    "path, value, message",
     [
-        (FIRST_SCALAR + ("mult",), 2.5),
-        (FIRST_SCALAR + ("mult",), "2"),
-        (("spectrum", "symbols"), "e23"),
-        (("spectrum", "symbols"), []),
-        (FIRST_SCALAR + ("scalar", "exponents"), [1]),
-        (FIRST_SCALAR + ("scalar", "phase"), "1\n"),
-        (FIRST_SCALAR + ("scalar", "phase"), "\u0661"),
+        (FIRST_SCALAR + ("mult",), 2.5, "bad spectrum"),
+        (FIRST_SCALAR + ("mult",), "2", "bad spectrum"),
+        (("spectrum", "symbols"), "e23", "bad spectrum"),
+        (("spectrum", "symbols"), [], "bad spectrum"),
+        (FIRST_SCALAR + ("scalar", "exponents"), [1], "bad spectrum"),
+        (FIRST_SCALAR + ("scalar", "phase"), "1\n", "bad spectrum"),
+        (FIRST_SCALAR + ("scalar", "phase"), "\u0661", "bad spectrum"),
+        (("spectrum", "classes"), {"a": 1}, "bad spectrum: classes must be a JSON list, not dict"),
+        (("spectrum", "classes"), [[[1]], [[1]]], "bad spectrum: class entry must be a JSON object, not list"),
     ],
     ids=[
         "mult-float", "mult-string", "symbols-string", "symbols-empty",
         "exponents-list", "phase-newline", "phase-arabic-indic",
+        "classes-object", "class-entry-list",
     ],
 )
-def test_analyze_malformed_spectrum_is_input_error(tmp_path, capsys, path, value):
+def test_analyze_malformed_spectrum_is_input_error(tmp_path, capsys, path, value, message):
     file = tmp_path / "spectrum.json"
     file.write_text(json.dumps(replaced(shipped("example1.analyze.json"), path, value)), encoding="utf-8")
     code, _, err = run(capsys, "analyze", "-i", str(file))
-    assert code == 2 and "bad spectrum" in err
+    assert code == 2 and message in err
 
 
 def test_analyze_unknown_spectrum_mode_is_input_error(tmp_path, capsys):

@@ -55,7 +55,7 @@ def test_additive_combine():
 
 def test_global_condition_examples():
     assert sp.global_condition(rigid_example_spectrum(F(1, 4)))  # i^4 = 1
-    one = FormalScalar.identity("multiplicative")
+    one = FormalScalar.multiplicative()
     abcd = SpectrumAssignment([
         [(S({"a": 1}), 1), (one, 2)],
         [(S({"b": 1}), 1), (one, 2)],

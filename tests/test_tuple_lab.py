@@ -191,6 +191,14 @@ def test_centralizer_examples():
     assert tl.centralizer_dim_of([RatMatrix.diagonal([1, 2])]) == 2
 
 
+def test_empty_tuple_has_no_centralizer_to_count():
+    # the size n is read off the first pair, so an empty tuple is refused before any index
+    with pytest.raises(ValueError, match="empty matrix tuple"):
+        xl.hom_dim([], [])
+    with pytest.raises(ValueError, match="empty matrix tuple"):
+        tl.centralizer_dim_of([])
+
+
 def test_commut_surjective_matches_centralizer():
     quad = build_trivial_centralizer_quadruple()
     assert tl.commut_surjective(quad)

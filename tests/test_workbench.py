@@ -90,16 +90,23 @@ def test_direct_sum_and_doubled_points():
 
 
 def test_triangular_spaces_dimensions():
-    first = wb.build_first_block_triple()
-    second = wb.build_second_block_triple()
-    spaces = wb.triangular_spaces(first, second)
-    assert spaces["dim_full"] == 5
-    assert spaces["dim_conjugation"] == 4
-    # the conjugation subspace sits inside the full space
-    full_rows = [list(v.entries) for v in spaces["full_basis"]]
-    for q in spaces["conjugation_basis"]:
-        stacked = RatMatrix.from_rows(full_rows + [list(q.entries)])
-        assert xl.rank(stacked) == len(full_rows)
+    component_a = wb.build_zero_index_pair()[0]
+    cases = [
+        ((wb.build_first_block_triple(), wb.build_second_block_triple()), 5, 4),
+        # a common Y = I intertwines a with itself, so its n^2 = 4 corners span only 3 dimensions
+        ((component_a, component_a), 5, 3),
+    ]
+    for blocks, dim_full, dim_conjugation in cases:
+        spaces = wb.triangular_spaces(*blocks)
+        assert len(spaces["full_basis"]) == spaces["dim_full"] == dim_full
+        assert len(spaces["conjugation_basis"]) == spaces["dim_conjugation"] == dim_conjugation
+        # each returned list is a basis, and the conjugation subspace sits inside the full space
+        full_rows = [list(v.entries) for v in spaces["full_basis"]]
+        conjugation_rows = [list(q.entries) for q in spaces["conjugation_basis"]]
+        assert xl.rank(RatMatrix.from_rows(full_rows)) == dim_full
+        assert xl.rank(RatMatrix.from_rows(conjugation_rows)) == dim_conjugation
+        for q in conjugation_rows:
+            assert xl.rank(RatMatrix.from_rows(full_rows + [q])) == dim_full
 
 
 def test_triangular_triple_trivial_centralizer():
