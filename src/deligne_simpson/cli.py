@@ -56,10 +56,13 @@ def _load_json(path: str) -> dict:
 
 @contextmanager
 def _malformed(what: str):
-    """Turn a parser's KeyError, TypeError or ValueError into an InputError."""
+    """Turn a parser's KeyError, TypeError or ValueError into an InputError;
+    a KeyError is a missing key, which str() would print bare."""
     try:
         yield
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise InputError(f"{what}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise InputError(f"{what}: {exc}") from exc
 
 

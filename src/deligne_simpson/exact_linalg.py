@@ -35,7 +35,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")
 
@@ -88,6 +88,14 @@ def json_list(value, what: str) -> list:
     character by character, and an object key by key."""
     if not isinstance(value, list):
         raise TypeError(f"{what} must be a JSON list, not {type(value).__name__}")
+    return value
+
+
+def json_object(value, what: str) -> Mapping:
+    """value when it is a JSON object; anything else would otherwise fail
+    on its first key with Python's own indexing message."""
+    if not isinstance(value, Mapping):
+        raise TypeError(f"{what} must be a JSON object, not {type(value).__name__}")
     return value
 
 

@@ -24,7 +24,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .exact_linalg import integer, json_list
+from .exact_linalg import integer, json_list, json_object
 
 # The largest size read from input.  A count is expanded before anything
 # else looks at it (a multiplicity m into m blocks, a part p into p dual
@@ -146,6 +146,9 @@ class Jnf:
             if "multiplicities" not in data:
                 raise ValueError("abbreviated JNF needs a 'multiplicities' key")
             return cls.diagonal(capped(json_list(data["multiplicities"], "multiplicities")))
+        if not isinstance(data, list):
+            raise TypeError(f"a JNF must be a JSON object or list, not {type(data).__name__}")
+        data = [json_object(item, "JNF entry") for item in data]
         blocks = [json_list(item["blocks"], "blocks") for item in data]
         capped(b for item in blocks for b in item)
         entries = [(item["eigenvalue"], Partition(b)) for item, b in zip(data, blocks)]

@@ -30,6 +30,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from .exact_linalg import json_list
 from .jnf import Jnf, Partition, class_dim, min_rank
 
 
@@ -72,7 +73,7 @@ class JnfTuple:
 
     @classmethod
     def from_json(cls, data: Sequence) -> JnfTuple:
-        return cls(Jnf.from_json(item) for item in data)
+        return cls(Jnf.from_json(item) for item in json_list(data, "jnfs"))
 
 
 def check_alpha(t: JnfTuple) -> bool:

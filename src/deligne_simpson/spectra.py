@@ -37,15 +37,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exact_linalg import integer, json_list, rat, rational_to_str
+from .exact_linalg import integer, json_list, json_object, rat, rational_to_str
 
 MULTIPLICATIVE = "multiplicative"
 ADDITIVE = "additive"
-
-
-def _require_object(data, what: str) -> None:
-    if not isinstance(data, Mapping):
-        raise TypeError(f"{what} must be a JSON object, not {type(data).__name__}")
 
 
 class MixedModesError(Exception):
@@ -59,7 +54,7 @@ class GlobalConditionViolatedError(Exception):
 def _as_terms(mapping: Mapping[str, int | str | Fraction] | None) -> tuple[tuple[str, Fraction], ...]:
     if mapping is None:
         return ()
-    _require_object(mapping, "exponents or coefficients")
+    json_object(mapping, "exponents or coefficients")
     items = []
     for sym, coeff in mapping.items():
         c = rat(coeff)
@@ -114,7 +109,7 @@ class FormalScalar:
 
     @classmethod
     def from_json(cls, data: Mapping, mode: str) -> FormalScalar:
-        _require_object(data, "scalar")
+        json_object(data, "scalar")
         if mode == MULTIPLICATIVE:
             keys, build = ("exponents", "phase"), cls.multiplicative
         elif mode == ADDITIVE:
@@ -197,14 +192,14 @@ class SpectrumAssignment:
 
     @classmethod
     def from_json(cls, data: Mapping) -> SpectrumAssignment:
-        _require_object(data, "spectrum")
+        json_object(data, "spectrum")
         mode = data.get("mode", MULTIPLICATIVE)
         declared = set(json_list(data["symbols"], "symbols")) if "symbols" in data else None
         classes = []
         for cls_data in json_list(data["classes"], "classes"):
             entries = []
             for item in json_list(cls_data, "class"):
-                _require_object(item, "class entry")
+                json_object(item, "class entry")
                 scalar = FormalScalar.from_json(item["scalar"], mode)
                 if declared is not None and not set(scalar.symbols()) <= declared:
                     raise ValueError(f"undeclared symbols in {scalar!r}")

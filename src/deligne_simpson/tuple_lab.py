@@ -23,8 +23,18 @@ The checks provided:
   q s (m - lam I) = q (s m) - p s I for lam = p/q and s the lcm of m's
   denominators (``_shifted``); Norton's theta below is formed the same
   way;
+* ``generators`` -- the matrices that generate the tuple's algebra: the
+  first k - 1 of its k matrices when it closes, all k otherwise.  For a
+  closed tuple M_k is (M_1...M_{k-1})^-1, a polynomial in that product P
+  by Cayley-Hamilton (P^-1 = -(c_1 I + c_2 P + ... + P^{n-1}) / c_0 for
+  the characteristic polynomial c_0 + c_1 x + ... + x^n of P, with
+  c_0 = +-det P != 0), or -(M_1 + ... + M_{k-1}); so M_k lies in the
+  unital algebra that M_1..M_{k-1} generate.  A matrix commuting with
+  M_1..M_{k-1} commutes with M_k, a subspace that M_1..M_{k-1} keep M_k
+  keeps, and the algebra is the same: the centralizer, Norton's spins and
+  the Burnside closure read the first k - 1 alone;
 * ``centralizer_dim`` -- dim C(M) of the tuple: ``centralizer_dim_of`` on
-  its matrices, ``exact_linalg.hom_dim`` on the pairs (M_j, M_j), is the
+  its generators, ``exact_linalg.hom_dim`` on the pairs (M_j, M_j), is the
   kernel dimension of the stacked commutator maps on the n^2-dimensional
   matrix space;
 * ``commut_surjective`` -- whether the summed commutator map is onto the
@@ -36,9 +46,9 @@ The checks provided:
   dimension n^2 (Burnside's criterion), decided by Norton's test
   (``norton_spins``): for theta = M_j - lam I, as integers, with a
   claimed eigenvalue lam of rank(theta) = n - 1, the spins of ker theta
-  under the M_i and of ker theta^T under the M_i^T are both Q^n.  Only
-  when no claimed eigenvalue gives such a theta does it run the Burnside
-  closure (``algebra_dim``), an n^2-dimensional span;
+  under the generators and of ker theta^T under their transposes are both
+  Q^n.  Only when no claimed eigenvalue gives such a theta does it run the
+  Burnside closure (``algebra_dim``), an n^2-dimensional span;
 * ``corner_differential`` -- the linear map that the upper-right block of
   a product (or sum) of block upper-triangular matrices depends on; with
   equal diagonal blocks, the product/sum differential;
@@ -269,8 +279,22 @@ def centralizer_dim_of(matrices: Sequence[RatMatrix]) -> int:
     return xl.hom_dim(matrices, matrices)
 
 
-def centralizer_dim(t: MatrixTuple) -> int:
-    return centralizer_dim_of(t.matrices)
+def generators(t: MatrixTuple, closed: bool | None = None) -> tuple[RatMatrix, ...]:
+    """The first k - 1 of t's k matrices when t closes, all k otherwise;
+    closed, when given, is ``verify_closure(t)``, already computed.  They
+    generate the same unital algebra as all k: the closing matrix is the
+    inverse of the others' product, a polynomial in it by Cayley-Hamilton,
+    or minus their sum."""
+    if closed is None:
+        closed = verify_closure(t)
+    return t.matrices[:-1] if closed else t.matrices
+
+
+def centralizer_dim(t: MatrixTuple, closed: bool | None = None) -> int:
+    """dim C(t), eliminating only the commutator maps of t's ``generators``:
+    a matrix commuting with M_1..M_{k-1} of a closed tuple commutes with
+    every polynomial in them, M_k included."""
+    return centralizer_dim_of(generators(t, closed))
 
 
 def has_trivial_centralizer(t: MatrixTuple) -> bool:
@@ -301,21 +325,24 @@ def _spin_dim(start: Iterable[int], images: Callable[[list[int]], Iterable[Itera
     return len(basis)
 
 
-def algebra_dim(t: MatrixTuple) -> int:
+def algebra_dim(t: MatrixTuple, closed: bool | None = None) -> int:
     """Dimension of the unital algebra generated by the matrices, by the
     Burnside closure: it is n^2 exactly when the algebra is M_n(Q).  The
-    spin of vec(I) under right multiplication by every generator, with each
-    row read as an n x n matrix; the closure stops early at n^2."""
+    spin of vec(I) under right multiplication by each of t's
+    ``generators``, with each row read as an n x n matrix; the closure
+    stops early at n^2.  The closing matrix of a closed tuple lies in the
+    algebra of the others, so it adds no product."""
     n = t.n
+    gens = generators(t, closed)
 
     def products(row: list[int]):
         m = [row[i * n : (i + 1) * n] for i in range(n)]
-        return ((x for prod_row in xl.matmul_rows(m, g.numerators) for x in prod_row) for g in t.matrices)
+        return ((x for prod_row in xl.matmul_rows(m, g.numerators) for x in prod_row) for g in gens)
 
     return _spin_dim((int(i == j) for i in range(n) for j in range(n)), products, n * n)
 
 
-def norton_spins(t: MatrixTuple) -> tuple[bool, bool] | None:
+def norton_spins(t: MatrixTuple, closed: bool | None = None) -> tuple[bool, bool] | None:
     """Norton's irreducibility test (Parker 1984; Holt & Rees, J. Austral.
     Math. Soc. 57 (1994)): (the spin of v is Q^n, the spin of w is Q^n), or
     None when no claimed eigenvalue gives the test its theta.
@@ -329,7 +356,10 @@ def norton_spins(t: MatrixTuple) -> tuple[bool, bool] | None:
     check, and a second elimination, of theta^T, gives the integer vector
     w that spans ker theta^T.  Nothing is formed as a Fraction.  The spin
     of v is the smallest subspace that contains v and that every M_i
-    keeps; the spin of w is the same under the M_i^T.
+    keeps; the spin of w is the same under the M_i^T.  theta is searched
+    over all k matrices, but both spins run under t's ``generators`` only:
+    on a closed tuple a subspace that M_1..M_{k-1} keep is kept by M_k, a
+    polynomial in them (closed, when given, is ``verify_closure(t)``).
 
     theta lies in the generated algebra A and has a 1-dimensional kernel,
     and that is all the following uses.
@@ -359,7 +389,7 @@ def norton_spins(t: MatrixTuple) -> tuple[bool, bool] | None:
             if len(kernel) != 1:  # rank(theta) != n - 1
                 continue
             (cokernel,) = xl.integer_kernel(zip(*theta), n)
-            factors = [g.numerators for g in t.matrices]
+            factors = [g.numerators for g in generators(t, closed)]
             # g x for a column x is the row x^T g^T, and g^T y is the row y^T g
             transposes = [list(zip(*g)) for g in factors]
 
@@ -375,9 +405,10 @@ def is_irreducible(t: MatrixTuple) -> bool:
     criterion), by Norton's test (``norton_spins``); the Burnside closure
     (``algebra_dim``) runs only when no claimed eigenvalue gives the test
     its theta."""
-    spins = norton_spins(t)
+    closed = verify_closure(t)
+    spins = norton_spins(t, closed)
     if spins is None:
-        return algebra_dim(t) == t.n**2
+        return algebra_dim(t, closed) == t.n**2
     return all(spins)
 
 
@@ -424,7 +455,8 @@ def tangent_dim(t: MatrixTuple) -> int:
 
 def orbit_dim(t: MatrixTuple) -> int:
     """Dimension of the simultaneous-conjugation orbit: n^2 minus the
-    centralizer dimension of the tuple."""
+    centralizer dimension of the tuple (``centralizer_dim``, on its
+    generators)."""
     return t.n**2 - centralizer_dim(t)
 
 
@@ -459,9 +491,13 @@ def report(t: MatrixTuple) -> dict:
     if wrong:
         out["wrong_spectrum"] = wrong[0]
     # A full spin in Norton's test makes the centralizer the scalars with
-    # no elimination (see ``norton_spins``).
-    spins = norton_spins(t)
-    cdim = 1 if spins is not None and any(spins) else centralizer_dim(t)
+    # no elimination (see ``norton_spins``).  The spins, the elimination and
+    # the Burnside closure all read the ``generators``: on a closed tuple
+    # the closing matrix is a polynomial in the others (the inverse of
+    # their product, by Cayley-Hamilton, or minus their sum), so it changes
+    # no centralizer, invariant subspace or algebra, and is left out.
+    spins = norton_spins(t, closed)
+    cdim = 1 if spins is not None and any(spins) else centralizer_dim(t, closed)
     out["centralizer_dim"] = cdim
     out["trivial_centralizer"] = cdim == 1
     out["commutator_map_surjective"] = cdim == 1  # trace duality, as in ``commut_surjective``
@@ -471,7 +507,7 @@ def report(t: MatrixTuple) -> dict:
         # A non-scalar matrix commuting with every generator commutes with
         # the whole generated algebra, which therefore is not M_n(Q), whose
         # commutant is the scalars: run the Burnside closure only when cdim is 1.
-        out["irreducible"] = cdim == 1 and algebra_dim(t) == t.n**2
+        out["irreducible"] = cdim == 1 and algebra_dim(t, closed) == t.n**2
     out["orbit_dim"] = t.n**2 - cdim
     # The same duality gives the tangent dimension without building the
     # corner differential: when the tuple closes, block j of the product

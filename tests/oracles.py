@@ -94,6 +94,13 @@ def _insert(basis: dict[int, list[Fraction]], v: list[Fraction]) -> bool:
     return True
 
 
+def echelon_rank(rows: list[list[Fraction]]) -> int:
+    """Rank by a plain Fraction echelon: the number of rows left nonzero
+    when each is reduced against the rows kept before it."""
+    basis: dict[int, list[Fraction]] = {}
+    return sum(_insert(basis, list(row)) for row in rows)
+
+
 def frontier_algebra_dim(mats: list[list[list[Fraction]]]) -> int:
     """Dimension of the unital algebra generated by square matrices: start
     from I and the generators, multiply each product found new in the last

@@ -290,6 +290,49 @@ def test_analyze_rejects_counts_that_are_not_integers(tmp_path, capsys):
     assert run(capsys, "analyze", "-i", str(path))[0] == 2
 
 
+DIAGONAL = {"multiplicities": [1, 1]}
+
+
+# each used to print Python's own message: string indices, an int that is
+# not iterable, list indices, or a bare key name
+@pytest.mark.parametrize(
+    "jnfs, message",
+    [
+        ("abc", "jnfs must be a JSON list, not str"),
+        ([4, DIAGONAL], "a JNF must be a JSON object or list, not int"),
+        ([None, DIAGONAL], "a JNF must be a JSON object or list, not NoneType"),
+        ([[[1]], DIAGONAL], "JNF entry must be a JSON object, not list"),
+        ([[{"eigenvalue": "a"}, {"eigenvalue": "b", "blocks": [1]}], DIAGONAL], "missing key 'blocks'"),
+    ],
+    ids=["string", "int-entry", "null-entry", "list-entry", "no-blocks"],
+)
+def test_analyze_malformed_jnf_tuple_gets_an_input_message(tmp_path, capsys, jnfs, message):
+    file = tmp_path / "jnfs.json"
+    file.write_text(json.dumps({"jnfs": jnfs}), encoding="utf-8")
+    assert run(capsys, "analyze", "-i", str(file)) == (2, "", f"error: bad JNF tuple: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "command, name, path, message",
+    [
+        ("verify", "example4_first_quadruple.verify.json", ("mode",), "bad matrix tuple: missing key 'mode'"),
+        ("verify", "example4_first_quadruple.verify.json", ("eigenvalues",),
+         "bad matrix tuple: missing key 'eigenvalues'"),
+        ("analyze", "example1.analyze.json", ("spectrum", "classes"), "bad spectrum: missing key 'classes'"),
+    ],
+    ids=["verify-mode", "verify-eigenvalues", "spectrum-classes"],
+)
+def test_a_missing_key_is_named_as_missing(tmp_path, capsys, command, name, path, message):
+    payload = shipped(name)
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    file = tmp_path / "missing.json"
+    file.write_text(json.dumps(payload), encoding="utf-8")
+    assert run(capsys, command, "-i", str(file)) == (2, "", f"error: {message}\n")
+
+
 FIRST_SCALAR = ("spectrum", "classes", 0, 0)
 
 

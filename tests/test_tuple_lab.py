@@ -23,6 +23,7 @@ from oracles import (
     adjugate,
     commutation_system,
     det_cofactor,
+    echelon_rank,
     entrywise_product,
     fraction_closes,
     frontier_algebra_dim,
@@ -449,11 +450,12 @@ def test_report_checks_closure_once(monkeypatch):
 
 def count_routes(monkeypatch):
     """Lists that record each tuple given to the Burnside closure and to the
-    stacked centralizer elimination."""
+    stacked centralizer elimination; each passes on the closure that
+    ``report`` hands it."""
     closures, eliminations = [], []
     closure, stacked = tl.algebra_dim, tl.centralizer_dim
-    monkeypatch.setattr(tl, "algebra_dim", lambda t: closures.append(t) or closure(t))
-    monkeypatch.setattr(tl, "centralizer_dim", lambda t: eliminations.append(t) or stacked(t))
+    monkeypatch.setattr(tl, "algebra_dim", lambda t, closed=None: closures.append(t) or closure(t, closed))
+    monkeypatch.setattr(tl, "centralizer_dim", lambda t, closed=None: eliminations.append(t) or stacked(t, closed))
     return closures, eliminations
 
 
@@ -855,3 +857,110 @@ def test_corner_differential_rejects_tuples_of_different_lengths(mode):
         tl.corner_differential(ls, ls[:3], mode)
     with pytest.raises(ValueError):
         tl.corner_differential(ls[:3], ls, mode)
+
+
+def conjugated_triangular(rng, values, n):
+    """(g T g^-1, the diagonal of T) for an upper-triangular T whose
+    diagonal draws from values and a unimodular g."""
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = rng.choice(values)
+        for j in range(i + 1, n):
+            rows[i][j] = F(rng.choice([0, 0, 1, -1, 2]))
+    g = unimodular(rng, n)
+    return g @ RatMatrix.from_rows(rows) @ xl.inverse(g), [rows[i][i] for i in range(n)]
+
+
+def closed_generated_tuple(rng, mode, n, count, structure):
+    """A closed tuple of count matrices of size n.  For "dense", each of
+    M_1..M_{k-1} is ``conjugated_triangular`` and claims its diagonal, so
+    Norton's test finds a theta whenever one of its eigenvalues has a
+    single block.  For "direct_sum" and "block_triangular", each is block
+    upper triangular with two such diagonal blocks and an off-diagonal
+    block that is 0 (so the centralizer has dimension >= 2) or random, and
+    the tuple is conjugated by one more unimodular matrix.  M_k is
+    (M_1...M_{k-1})^-1 or -(M_1 + ... + M_{k-1}) and claims 1s."""
+    values = [F(1), F(-1), F(2), F(1, 2)] if mode == "multiplicative" else [F(0), F(1), F(-1), F(1, 2)]
+    cut = n if structure == "dense" else rng.randint(1, n - 1)
+    mats, claims = [], []
+    for _ in range(count - 1):
+        top, claim = conjugated_triangular(rng, values, cut)
+        rows = [list(top.row(i)) + [F(0)] * (n - cut) for i in range(cut)]
+        if cut < n:
+            bottom, bottom_claim = conjugated_triangular(rng, values, n - cut)
+            if structure == "block_triangular":
+                for row in rows:
+                    row[cut:] = [F(rng.randint(-2, 2)) for _ in range(n - cut)]
+            rows += [[F(0)] * cut + list(bottom.row(i)) for i in range(n - cut)]
+            claim += bottom_claim
+        mats.append(RatMatrix.from_rows(rows))
+        claims.append(claim)
+    mats.append(xl.inverse(xl.product(mats)) if mode == "multiplicative" else -sum(mats[1:], mats[0]))
+    claims.append([1] * n)
+    t = MatrixTuple(mode, mats, claims)
+    return t if structure == "dense" else tl.conjugate(t, unimodular(rng, n))
+
+
+@st.composite
+def closed_generated_tuples(draw):
+    """(structure, ``closed_generated_tuple``), k 2-4, n <= 4, either mode."""
+    mode = draw(st.sampled_from(["multiplicative", "additive"]))
+    structure = draw(st.sampled_from(["dense", "direct_sum", "block_triangular"]))
+    n = draw(st.integers(1 if structure == "dense" else 2, 4))
+    count = draw(st.integers(2, 4))
+    return structure, closed_generated_tuple(draw(st.randoms(use_true_random=False)), mode, n, count, structure)
+
+
+@settings(max_examples=60, deadline=None)
+@given(closed_generated_tuples())
+def test_a_closed_tuple_is_read_from_its_first_k_minus_1_matrices(case):
+    """The centralizer, Norton's spins and the Burnside closure taken over
+    M_1..M_{k-1} of a closed tuple against the dense references over all
+    k matrices: the closing matrix is a polynomial in the others."""
+    structure, t = case
+    n = t.n
+    assert tl.verify_closure(t) and tl.generators(t) == t.matrices[:-1]
+    mats = [m.row_lists() for m in t.matrices]
+    cdim = n * n - echelon_rank([row for m in mats for row in commutation_system(m)])
+    algebra = frontier_algebra_dim(mats)
+    if structure == "direct_sum":
+        assert cdim >= 2
+    assert tl.centralizer_dim_of(t.matrices[:-1]) == tl.centralizer_dim(t) == cdim
+    assert tl.norton_spins(t) == tl.norton_spins(t, closed=True) == oracle_spins(t)
+    assert tl.algebra_dim(t) == tl.algebra_dim(t, closed=True) == algebra
+    rep = tl.report(t)
+    assert (rep["centralizer_dim"], rep["irreducible"]) == (cdim, algebra == n * n)
+
+
+def test_a_tuple_that_does_not_close_keeps_its_last_matrix():
+    """(I, I, diag(1, 2)) sums to diag(3, 4), not 0, so diag(1, 2) is no
+    polynomial in the others: the centralizer is the diagonal matrices, of
+    dimension 2, while the first two matrices alone commute with all 4
+    dimensions of matrices."""
+    one = RatMatrix.identity(2)
+    t = MatrixTuple("additive", [one, one, RatMatrix.diagonal([1, 2])], [[1, 1], [1, 1], [1, 2]])
+    assert not tl.verify_closure(t) and tl.generators(t) == t.matrices
+    assert tl.centralizer_dim_of(t.matrices[:2]) == 4
+    assert tl.centralizer_dim(t) == 2 and tl.orbit_dim(t) == 2
+    assert tl.norton_spins(t) == (False, False)
+    rep = tl.report(t)
+    assert rep["centralizer_dim"] == 2 and rep["irreducible"] is False
+
+
+@pytest.mark.parametrize("mode", ["multiplicative", "additive"])
+def test_report_eliminates_k_minus_1_matrices_only_when_the_tuple_closes(monkeypatch, mode):
+    """The lengths of the matrix lists that ``report`` hands the
+    elimination, on a closed direct sum of 3 matrices and on the same sum
+    with its last matrix doubled, which no longer closes.  The closed one
+    also eliminates its closing matrix alone, whose claim of 1s is wrong,
+    for its tangent dimension."""
+    t = closed_generated_tuple(random.Random(f"route-{mode}"), mode, 4, 3, "direct_sum")
+    doubled = MatrixTuple(mode, [*t.matrices[:-1], t.matrices[-1].scale(2)], t.eigenvalue_lists)
+    lengths = []
+    eliminate = tl.centralizer_dim_of
+    monkeypatch.setattr(tl, "centralizer_dim_of", lambda ms: lengths.append(len(ms)) or eliminate(ms))
+    assert tl.report(t)["centralizer_dim"] >= 2
+    assert lengths == [2, 1]
+    del lengths[:]
+    assert tl.report(doubled)["closure"] is False
+    assert lengths == [3]
