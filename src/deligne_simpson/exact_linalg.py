@@ -5,14 +5,17 @@ floating point anywhere.  Every ``RatMatrix`` also carries its integer form,
 read once when it is built: ``denominator``, s, the lcm of its entries'
 denominators, and ``numerators``, the rows of s M as ints.  Every rank and
 dimension check runs on one kernel, ``IntEchelon``: an incremental
-fraction-free echelon over the integers (after Bareiss, Math. Comp. 22,
-1968), fed those rows.  Scaling a row, or a whole operator block, by a
-nonzero integer changes no rank.  The same echelon basis followed by one
-fraction-free back-substitution gives the reduced row echelon form as
-primitive integer rows; ``integer_kernel`` reads integer kernel vectors
-off them, and ``rref``, nullspace bases and solutions (an inverse solves
-m X = I) divide by the pivots only where they build their Fraction
-results.  Every matrix product, dense or integer, is ``matmul_rows``.
+fraction-free Gauss-Jordan basis over the integers, fed those rows.
+Scaling a row, or a whole operator block, by a nonzero integer changes no
+rank.  Each new row is reduced in one combination, and accepting it
+rewrites the stored rows with Bareiss's exact division (Math. Comp. 22,
+1968), so every entry stays a minor of the input and no row grows on its
+way through a reduction.  The stored rows are already the reduced row
+echelon form times one common pivot value d, with no back-substitution;
+``integer_kernel`` reads integer kernel vectors straight off them, and
+``rref``, nullspace bases and solutions (an inverse solves m X = I)
+divide by d only where they build their Fraction results.  Every matrix
+product, dense or integer, is ``matmul_rows``.
 
 Vectorization convention: an n x n matrix X maps to the length n**2 vector
 vec(X) listing entries row by row (row-major).  Every operator matrix comes
@@ -265,54 +268,55 @@ def vstack(matrices: Sequence[RatMatrix]) -> RatMatrix:
 
 
 class IntEchelon:
-    """Incremental fraction-free row echelon basis over the integers.
+    """Incremental fraction-free Gauss-Jordan basis over the integers
+    (Bareiss, Math. Comp. 22, 1968; Nakos, Turner & Williams, SIGSAM Bull.
+    31(3), 1997).
 
-    Each stored row is primitive (gcd of its entries 1) and has a pivot
-    column where every later row is zero, so the stored rows are linearly
-    independent over Q.  ``add`` reduces a new row against each pivot in
-    turn, as p*v - f*b with the common factor of p and f removed, then
-    divides the result by the gcd of its entries.  Like Bareiss's
-    elimination this never forms a fraction; the gcd takes the place of
-    his exact division by the previous pivot.
+    Every stored row holds the common pivot value ``d`` at its own pivot
+    column and 0 at every other pivot column, so the rows over d are the
+    reduced row echelon form of the rows accepted so far (unsorted: row i
+    is 0 before its pivot, ``pivots[i]``).  ``add`` reduces a new row v in
+    one combination, w = d v - sum_i v[p_i] R_i, which is 0 at every
+    pivot.  A nonzero w is accepted with its first nonzero column c as
+    pivot: each old row becomes (w[c] R_i - R_i[c] w) / d and d becomes
+    w[c].  Bareiss's division is exact, since d is, up to sign, the minor
+    of the accepted input rows at the pivot columns, and every entry is
+    the minor that replaces one pivot column by another column; so no
+    entry outgrows an r x r minor of the input, and no fraction or gcd
+    is ever formed.
     """
 
-    __slots__ = ("rows", "pivots")
+    __slots__ = ("rows", "pivots", "d")
 
     def __init__(self) -> None:
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
+        self.d = 1
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def add(self, row: Iterable[int]) -> bool:
         """Insert row unless it lies in the span; True when it was new."""
-        v = _reduce(list(row), self.rows, self.pivots)
-        lead = next((i for i, x in enumerate(v) if x), None)
-        if lead is None:
+        v = list(row)
+        d = self.d
+        w = v if d == 1 else [d * x for x in v]
+        for b, p in zip(self.rows, self.pivots):
+            f = v[p]
+            if f:
+                w = [x - f * y for x, y in zip(w, b)]
+        c = next((i for i, x in enumerate(w) if x), None)
+        if c is None:
             return False
-        self.rows.append(_primitive(v))
-        self.pivots.append(lead)
+        wc = w[c]
+        self.rows = [
+            [(wc * x - f * y) // d for x, y in zip(b, w)] if (f := b[c]) else [wc * x // d for x in b]
+            for b in self.rows
+        ]
+        self.rows.append(w)
+        self.pivots.append(c)
+        self.d = wc
         return True
-
-
-def _reduce(v: list[int], rows: Sequence[list[int]], pivots: Sequence[int]) -> list[int]:
-    """v made zero in each pivot column, in turn, as p*v - f*b with p = b[c]
-    and f = v[c] over their gcd."""
-    for b, c in zip(rows, pivots):
-        f = v[c]
-        if f:
-            p = b[c]
-            g = math.gcd(p, f)
-            p //= g
-            f //= g
-            v = [p * x - f * y for x, y in zip(v, b)]
-    return v
-
-
-def _primitive(v: list[int]) -> list[int]:
-    g = math.gcd(*v)
-    return [x // g for x in v] if g > 1 else v
 
 
 def integer_rank(rows: Iterable[Sequence[int]], bound: int) -> int:
@@ -333,41 +337,33 @@ def rank(m: RatMatrix) -> int:
 
 def _reduced_echelon(rows: Iterable[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
     """The nonzero rows of the reduced row echelon form of integer rows,
-    each kept as a primitive integer row (not divided by its pivot), with
-    their pivot columns in increasing order.
-
-    ``IntEchelon`` stores each row zero in the pivot columns of the rows
-    stored before it.  Going back from the last row, each row is reduced
-    against the rows after it, which are already zero in every other pivot
-    column, so each pivot column ends up zero outside its own row.  Row
-    over pivot is then exactly the Gauss-Jordan result, since the reduced
-    echelon form of a row space is unique; each caller divides by the
-    pivot only where it builds a Fraction result.
-    """
+    each times the common pivot value d of ``IntEchelon`` (not divided by
+    it), with their pivot columns in increasing order; each caller divides
+    by d only where it builds a Fraction result."""
     basis = IntEchelon()
     for row in rows:
         basis.add(row)
-    reduced, pivots = basis.rows, basis.pivots
-    for i in reversed(range(len(reduced))):
-        reduced[i] = _primitive(_reduce(reduced[i], reduced[i + 1 :], pivots[i + 1 :]))
-    order = sorted(range(len(pivots)), key=pivots.__getitem__)
-    return [reduced[i] for i in order], [pivots[i] for i in order]
+    order = sorted(range(len(basis)), key=basis.pivots.__getitem__)
+    return [basis.rows[i] for i in order], [basis.pivots[i] for i in order]
 
 
 def integer_kernel(rows: Iterable[Sequence[int]], cols: int) -> list[list[int]]:
     """A basis of the right kernel of integer rows of length cols: for each
     non-pivot column c, the primitive integer vector that is positive at c
-    and 0 at every other non-pivot column.  A reduced row is 0 before its
-    pivot, so c holds the vector's last nonzero entry."""
-    reduced, pivots = _reduced_echelon(rows)
+    and 0 at every other non-pivot column.  Read off the Gauss-Jordan rows
+    R_i = d e_{p_i} + ... as v[c] = d and v[p_i] = -R_i[c]; a reduced row
+    is 0 before its pivot, so c holds the vector's last nonzero entry."""
+    basis = IntEchelon()
+    for row in rows:
+        basis.add(row)
     kernel = []
-    for c in sorted(set(range(cols)).difference(pivots)):
-        d = math.lcm(*(row[p] for row, p in zip(reduced, pivots) if row[c]))
+    for c in sorted(set(range(cols)).difference(basis.pivots)):
         v = [0] * cols
-        v[c] = d
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[c] * d // row[p]
-        kernel.append(_primitive(v))
+        v[c] = basis.d
+        for row, p in zip(basis.rows, basis.pivots):
+            v[p] = -row[c]
+        g = math.gcd(*v) if basis.d > 0 else -math.gcd(*v)
+        kernel.append([x // g for x in v])
     return kernel
 
 

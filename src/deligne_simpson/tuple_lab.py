@@ -17,7 +17,8 @@ The checks provided:
 
 * ``verify_closure`` -- exact product-is-I / sum-is-0 test, as
   prod_j (s_j M_j) = (prod_j s_j) I, or sum_j (L / s_j) (s_j M_j) = 0
-  with L the lcm of the s_j;
+  with L the lcm of the s_j, run once when a tuple is built and kept as
+  ``MatrixTuple.closed``, which every check below reads;
 * ``jnf_of`` / ``class_membership`` -- Jordan structure from the rank
   sequence rank((m - lam I)^k).  m - lam I is formed as integers, as
   q s (m - lam I) = q (s m) - p s I for lam = p/q and s the lcm of m's
@@ -81,7 +82,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -103,11 +104,14 @@ class ClosureViolatedError(Exception):
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class MatrixTuple:
     """At least two square rational matrices of one size, with claimed
-    eigenvalue lists; in multiplicative mode each matrix is invertible."""
+    eigenvalue lists; in multiplicative mode each matrix is invertible.
+    ``closed`` is ``verify_closure``, read once when the tuple is built;
+    derived from the matrices, it takes no part in equality."""
 
     mode: str
     matrices: tuple[RatMatrix, ...]
     eigenvalue_lists: tuple[tuple[Fraction, ...], ...]
+    closed: bool = field(compare=False)
 
     def __init__(
         self,
@@ -137,6 +141,7 @@ class MatrixTuple:
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "eigenvalue_lists", eigs)
+        object.__setattr__(self, "closed", verify_closure(self))
 
     @property
     def n(self) -> int:
@@ -279,22 +284,19 @@ def centralizer_dim_of(matrices: Sequence[RatMatrix]) -> int:
     return xl.hom_dim(matrices, matrices)
 
 
-def generators(t: MatrixTuple, closed: bool | None = None) -> tuple[RatMatrix, ...]:
-    """The first k - 1 of t's k matrices when t closes, all k otherwise;
-    closed, when given, is ``verify_closure(t)``, already computed.  They
-    generate the same unital algebra as all k: the closing matrix is the
-    inverse of the others' product, a polynomial in it by Cayley-Hamilton,
-    or minus their sum."""
-    if closed is None:
-        closed = verify_closure(t)
-    return t.matrices[:-1] if closed else t.matrices
+def generators(t: MatrixTuple) -> tuple[RatMatrix, ...]:
+    """The first k - 1 of t's k matrices when t closes, all k otherwise.
+    They generate the same unital algebra as all k: the closing matrix is
+    the inverse of the others' product, a polynomial in it by
+    Cayley-Hamilton, or minus their sum."""
+    return t.matrices[:-1] if t.closed else t.matrices
 
 
-def centralizer_dim(t: MatrixTuple, closed: bool | None = None) -> int:
+def centralizer_dim(t: MatrixTuple) -> int:
     """dim C(t), eliminating only the commutator maps of t's ``generators``:
     a matrix commuting with M_1..M_{k-1} of a closed tuple commutes with
     every polynomial in them, M_k included."""
-    return centralizer_dim_of(generators(t, closed))
+    return centralizer_dim_of(generators(t))
 
 
 def has_trivial_centralizer(t: MatrixTuple) -> bool:
@@ -312,20 +314,24 @@ def commut_surjective(t: MatrixTuple) -> bool:
 def _spin_dim(start: Iterable[int], images: Callable[[list[int]], Iterable[Iterable[int]]], bound: int) -> int:
     """Dimension of the smallest subspace that contains start and that the
     linear maps whose images of a row ``images`` yields all keep, or bound
-    once the span reaches it.  Each basis row is read once and its images
-    join the span; once every row is read the span is closed under every
-    map, since the rows span it.  Integer scaling changes no span."""
-    basis = xl.IntEchelon()
-    basis.add(start)
-    read = 0
-    while read < len(basis) < bound:
-        for image in images(basis.rows[read]):
-            basis.add(image)
-        read += 1
-    return len(basis)
+    once the span reaches it.  Each vector that ``IntEchelon`` accepts is
+    read once, in the order accepted, and its images join the span; once
+    every one is read the span is closed under every map, since they span
+    it.  They are read as given, not as the echelon rewrites its rows: a
+    rewritten row is a minor of the vectors accepted so far, and spinning
+    minors would grow them again at every step."""
+    basis, spanning = xl.IntEchelon(), []
+    # map reads spanning lazily, so each vector accepted is read in its turn
+    for vector in itertools.chain([start], itertools.chain.from_iterable(map(images, spanning))):
+        vector = list(vector)
+        if basis.add(vector):
+            spanning.append(vector)
+            if len(spanning) == bound:
+                break
+    return len(spanning)
 
 
-def algebra_dim(t: MatrixTuple, closed: bool | None = None) -> int:
+def algebra_dim(t: MatrixTuple) -> int:
     """Dimension of the unital algebra generated by the matrices, by the
     Burnside closure: it is n^2 exactly when the algebra is M_n(Q).  The
     spin of vec(I) under right multiplication by each of t's
@@ -333,7 +339,7 @@ def algebra_dim(t: MatrixTuple, closed: bool | None = None) -> int:
     stops early at n^2.  The closing matrix of a closed tuple lies in the
     algebra of the others, so it adds no product."""
     n = t.n
-    gens = generators(t, closed)
+    gens = generators(t)
 
     def products(row: list[int]):
         m = [row[i * n : (i + 1) * n] for i in range(n)]
@@ -342,7 +348,7 @@ def algebra_dim(t: MatrixTuple, closed: bool | None = None) -> int:
     return _spin_dim((int(i == j) for i in range(n) for j in range(n)), products, n * n)
 
 
-def norton_spins(t: MatrixTuple, closed: bool | None = None) -> tuple[bool, bool] | None:
+def norton_spins(t: MatrixTuple) -> tuple[bool, bool] | None:
     """Norton's irreducibility test (Parker 1984; Holt & Rees, J. Austral.
     Math. Soc. 57 (1994)): (the spin of v is Q^n, the spin of w is Q^n), or
     None when no claimed eigenvalue gives the test its theta.
@@ -359,7 +365,7 @@ def norton_spins(t: MatrixTuple, closed: bool | None = None) -> tuple[bool, bool
     keeps; the spin of w is the same under the M_i^T.  theta is searched
     over all k matrices, but both spins run under t's ``generators`` only:
     on a closed tuple a subspace that M_1..M_{k-1} keep is kept by M_k, a
-    polynomial in them (closed, when given, is ``verify_closure(t)``).
+    polynomial in them.
 
     theta lies in the generated algebra A and has a 1-dimensional kernel,
     and that is all the following uses.
@@ -389,7 +395,7 @@ def norton_spins(t: MatrixTuple, closed: bool | None = None) -> tuple[bool, bool
             if len(kernel) != 1:  # rank(theta) != n - 1
                 continue
             (cokernel,) = xl.integer_kernel(zip(*theta), n)
-            factors = [g.numerators for g in generators(t, closed)]
+            factors = [g.numerators for g in generators(t)]
             # g x for a column x is the row x^T g^T, and g^T y is the row y^T g
             transposes = [list(zip(*g)) for g in factors]
 
@@ -405,10 +411,9 @@ def is_irreducible(t: MatrixTuple) -> bool:
     criterion), by Norton's test (``norton_spins``); the Burnside closure
     (``algebra_dim``) runs only when no claimed eigenvalue gives the test
     its theta."""
-    closed = verify_closure(t)
-    spins = norton_spins(t, closed)
+    spins = norton_spins(t)
     if spins is None:
-        return algebra_dim(t, closed) == t.n**2
+        return algebra_dim(t) == t.n**2
     return all(spins)
 
 
@@ -446,7 +451,7 @@ def tangent_dim(t: MatrixTuple) -> int:
     it is only a formal tangent dimension.  Raises ClosureViolatedError for
     a tuple that does not close.
     """
-    if not verify_closure(t):
+    if not t.closed:
         raise ClosureViolatedError("tuple does not close (product I / sum 0)")
     theta = corner_differential(t.matrices, t.matrices, t.mode)
     kernel_dim = theta.cols - xl.rank(theta)
@@ -474,8 +479,7 @@ def jnf_tuple_of(t: MatrixTuple) -> JnfTuple:
 def report(t: MatrixTuple) -> dict:
     """Full JSON-able verification report for a tuple."""
     out: dict = {"mode": t.mode, "n": t.n, "count": len(t.matrices)}
-    closed = verify_closure(t)
-    out["closure"] = closed
+    out["closure"] = t.closed
     # None marks a matrix whose claimed spectrum is wrong; the first message
     # is the one ``jnf_tuple_of`` would raise
     jnfs: list[Jnf | None] = []
@@ -496,8 +500,8 @@ def report(t: MatrixTuple) -> dict:
     # the closing matrix is a polynomial in the others (the inverse of
     # their product, by Cayley-Hamilton, or minus their sum), so it changes
     # no centralizer, invariant subspace or algebra, and is left out.
-    spins = norton_spins(t, closed)
-    cdim = 1 if spins is not None and any(spins) else centralizer_dim(t, closed)
+    spins = norton_spins(t)
+    cdim = 1 if spins is not None and any(spins) else centralizer_dim(t)
     out["centralizer_dim"] = cdim
     out["trivial_centralizer"] = cdim == 1
     out["commutator_map_surjective"] = cdim == 1  # trace duality, as in ``commut_surjective``
@@ -507,7 +511,7 @@ def report(t: MatrixTuple) -> dict:
         # A non-scalar matrix commuting with every generator commutes with
         # the whole generated algebra, which therefore is not M_n(Q), whose
         # commutant is the scalars: run the Burnside closure only when cdim is 1.
-        out["irreducible"] = cdim == 1 and algebra_dim(t, closed) == t.n**2
+        out["irreducible"] = cdim == 1 and algebra_dim(t) == t.n**2
     out["orbit_dim"] = t.n**2 - cdim
     # The same duality gives the tangent dimension without building the
     # corner differential: when the tuple closes, block j of the product
@@ -518,7 +522,7 @@ def report(t: MatrixTuple) -> dict:
     # computes the same number as the kernel of the differential.  Each
     # dim C(M_j) depends only on the JNF of M_j, so it is read off the JNF
     # when the claimed spectrum checks out, and found by elimination otherwise.
-    if closed:
+    if t.closed:
         single = sum(
             centralizer_dim_of([m]) if j is None else centralizer_dim_of_jnf(j)
             for m, j in zip(t.matrices, jnfs)

@@ -49,7 +49,6 @@ from ..tuple_lab import (
     corner_differential,
     is_irreducible,
     jnf_of,
-    verify_closure,
 )
 
 
@@ -144,7 +143,7 @@ def closed_tuple(
         xl.inverse(xl.product([*after, *before])), classes[len(before)], classes[len(before) + 1]
     )
     t = MatrixTuple(MULTIPLICATIVE, [*before, x, y, *after], [[a, b] for a, b in classes])
-    _check(verify_closure(t), "tuple does not close")
+    _check(t.closed, "tuple does not close")
     for m, eigs in zip(t.matrices, t.eigenvalue_lists):
         jnf_of(m, eigs)  # raises WrongSpectrumError on a bad class
     rep = is_generic(spectrum_of_rationals(t.eigenvalue_lists))
@@ -201,7 +200,7 @@ def block_triangular(
     ]
     both = [x + y for x, y in zip(first.eigenvalue_lists, second.eigenvalue_lists, strict=True)]
     t = MatrixTuple(first.mode, mats, [sorted(xy, key=xy.index) for xy in both])
-    _check(verify_closure(t), "block-triangular tuple does not close")
+    _check(t.closed, "block-triangular tuple does not close")
     return t
 
 
@@ -368,7 +367,7 @@ def build_trivial_centralizer_quadruple() -> MatrixTuple:
     m3 = RatMatrix.from_rows([[c, 0, 1], [0, 1, 0], [0, 0, 1]])
     m4 = RatMatrix.from_rows([[d, -1 / (b * c), -1 / c], [0, 1, 0], [0, 0, 1]])
     t = MatrixTuple(MULTIPLICATIVE, [m1, m2, m3, m4], [[v, 1, 1] for v in (a, b, c, d)])
-    _check(verify_closure(t), "first quadruple does not close")
+    _check(t.closed, "first quadruple does not close")
     return t
 
 
@@ -381,5 +380,5 @@ def build_split_sum_quadruple() -> MatrixTuple:
     m3 = RatMatrix.from_rows([[c, 0, 0], [-1 / d, 1, 0], [0, 0, 1]])
     m4 = RatMatrix.from_rows([[d, 0, 0], [1, 1, 0], [0, 0, 1]])
     t = MatrixTuple(MULTIPLICATIVE, [m1, m2, m3, m4], [[v, 1, 1] for v in (a, b, c, d)])
-    _check(verify_closure(t), "second quadruple does not close")
+    _check(t.closed, "second quadruple does not close")
     return t

@@ -64,7 +64,7 @@ _OPERATIONS = {
             lambda f, e, s: e.params["witness"] in [w.to_json() for w in sp.all_relations(s)],
     },
     tl.MatrixTuple: {
-        "closure": lambda f, e, t: tl.verify_closure(t),
+        "closure": lambda f, e, t: t.closed,
         "centralizer_dim": lambda f, e, t: tl.centralizer_dim(t),
         "commut_surjective": lambda f, e, t: tl.commut_surjective(t),
         "irreducible": lambda f, e, t: tl.is_irreducible(t),

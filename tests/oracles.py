@@ -101,6 +101,25 @@ def echelon_rank(rows: list[list[Fraction]]) -> int:
     return sum(_insert(basis, list(row)) for row in rows)
 
 
+def reduced_echelon(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+    """The nonzero rows of the reduced row echelon form, by column-by-column
+    Gauss-Jordan over Fraction: each row 1 at its pivot and 0 at every
+    other pivot, in increasing pivot order."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    done = 0
+    for c in range(len(m[0]) if m else 0):
+        p = next((i for i in range(done, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[done], m[p] = m[p], m[done]
+        m[done] = [x / m[done][c] for x in m[done]]
+        for i, row in enumerate(m):
+            if i != done and row[c]:
+                m[i] = [x - row[c] * y for x, y in zip(row, m[done])]
+        done += 1
+    return m[:done]
+
+
 def frontier_algebra_dim(mats: list[list[list[Fraction]]]) -> int:
     """Dimension of the unital algebra generated by square matrices: start
     from I and the generators, multiply each product found new in the last

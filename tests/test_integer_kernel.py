@@ -17,6 +17,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deligne_simpson import exact_linalg as xl
 from deligne_simpson import tuple_lab as tl
@@ -24,8 +25,17 @@ from deligne_simpson.exact_linalg import IntEchelon, RatMatrix
 from deligne_simpson.tuple_lab import MatrixTuple
 from deligne_simpson.workbench import builders, hom_dim
 
-from conftest import random_invertible
-from oracles import entrywise_product, frontier_algebra_dim, intertwiner_system, minor_rank
+from conftest import random_invertible, unimodular
+from oracles import (
+    commutation_system,
+    det_cofactor,
+    echelon_rank,
+    entrywise_product,
+    frontier_algebra_dim,
+    intertwiner_system,
+    minor_rank,
+    reduced_echelon,
+)
 
 DENOMINATORS = (2, 3, 5, 7, 11)
 
@@ -260,13 +270,57 @@ def test_int_echelon_zero_and_repeated_rows():
     assert len(basis) == 2
 
 
-def test_int_echelon_gcd_normalisation():
+@st.composite
+def integer_row_lists(draw):
+    """1-6 integer rows of length 1-6, each random (times a common factor
+    that may be as large as 2**70, and of either sign), zero, a repeat or
+    a multiple of an earlier row, in drawn order."""
+    cols = draw(st.integers(1, 6))
+    rows: list[list[int]] = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["random", "zero", "repeat", "multiple"] if rows else ["random", "zero"]))
+        if kind == "random":
+            factor = draw(st.sampled_from([1, -1, 2, 6, -35, 2**70, -(3**45)]))
+            rows.append([factor * x for x in draw(st.lists(st.integers(-4, 4), min_size=cols, max_size=cols))])
+        elif kind == "zero":
+            rows.append([0] * cols)
+        else:
+            k = 1 if kind == "repeat" else draw(st.integers(-5, 5))
+            rows.append([k * x for x in draw(st.sampled_from(rows))])
+    return rows, cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_row_lists())
+def test_int_echelon_rows_are_bareiss_minors_of_the_accepted_rows(case):
+    """Every stored row holds d at its own pivot and 0 at every other
+    pivot; d is, up to one sign e, the minor of the accepted input rows A
+    at the pivot columns P, and each entry R_i[j] is e times the minor of
+    A at P with column p_i replaced by column j (Cramer's rule, as
+    Bareiss's exact division keeps it); R / d is the reduced row echelon
+    form."""
+    rows, cols = case
     basis = IntEchelon()
-    assert basis.add([6, 9, 12])
-    assert basis.rows == [[2, 3, 4]]
-    assert basis.add([4, 6, 10])  # reduces to a multiple of (0, 0, 1)
-    assert basis.rows[1] in ([0, 0, 1], [0, 0, -1])
-    assert basis.pivots == [0, 2]
+    accepted = [row for row in rows if basis.add(row)]
+    assert len(basis) == len(accepted) == minor_rank([[F(x) for x in row] for row in rows])
+    assert len(basis.pivots) == len(set(basis.pivots)) == len(basis)
+    d, pivots = basis.d, basis.pivots
+    for row, p in zip(basis.rows, pivots):
+        assert all(type(x) is int for x in row)
+        assert row[p] == d and all(row[q] == 0 for q in pivots if q != p)
+    if not accepted:
+        assert d == 1
+        return
+
+    def minor(columns):
+        return det_cofactor([[F(row[c]) for c in columns] for row in accepted])
+
+    sign = d // minor(pivots)
+    assert sign in (1, -1)
+    for i, row in enumerate(basis.rows):
+        assert all(row[j] == sign * minor(pivots[:i] + [j] + pivots[i + 1 :]) for j in range(cols))
+    order = sorted(range(len(basis)), key=pivots.__getitem__)
+    assert [[F(x, d) for x in basis.rows[i]] for i in order] == reduced_echelon(rows)
 
 
 def test_int_echelon_entries_stay_int_and_rank_matches_minors():
@@ -279,6 +333,53 @@ def test_int_echelon_entries_stay_int_and_rank_matches_minors():
         for row in rows:
             basis.add(row)
         assert all(type(x) is int for row in basis.rows for x in row)
-        assert all(xl.math.gcd(*row) == 1 for row in basis.rows)
         assert len(basis) == minor_rank([[F(x) for x in row] for row in rows])
         assert len(basis) == xl.integer_rank(rows, ncols)
+
+
+def conjugated_jordan(rng, values, n):
+    """g J g^-1 for an upper-triangular J with diagonal drawn from values,
+    some 1s above it, and a unimodular g: dense, with J's spectrum."""
+    rows = [[F(rng.choice(values)) if i == j else F(rng.choice([0, 1])) if j == i + 1 else F(0)
+             for j in range(n)] for i in range(n)]
+    g = unimodular(rng, n)
+    return g @ RatMatrix.from_rows(rows) @ xl.inverse(g)
+
+
+def closing(mode, mats):
+    return xl.inverse(xl.product(mats)) if mode == "multiplicative" else -sum(mats[1:], mats[0])
+
+
+def oracle_centralizer_dim(mats):
+    n = mats[0].rows
+    return n * n - echelon_rank([row for m in mats for row in commutation_system(m.row_lists())])
+
+
+@pytest.mark.parametrize("mode,n,structure", [
+    ("additive", 7, "direct_sum"), ("multiplicative", 7, "direct_sum"), ("multiplicative", 8, "dense"),
+])
+def test_hom_dim_agrees_with_the_fraction_echelon_at_n_7_and_8(mode, n, structure):
+    """Past the sizes of the other oracle tests: a closed direct sum of two
+    conjugated blocks, conjugated once more, in each mode, and a dense
+    multiplicative triple.  Every matrix claims 1s, a wrong spectrum, so
+    ``report`` also eliminates each one alone, the closing matrix of the
+    dense triple (the slowest `verify` input at n = 12) included."""
+    rng = random.Random(f"n{n}-{mode}-{structure}")
+    values = [1, -1, 2, 3] if mode == "multiplicative" else [0, 1, -1, 2]
+    if structure == "dense":
+        mats = [conjugated_jordan(rng, values, n) for _ in range(2)]
+    else:
+        cut = n // 2
+        mats = [block_diagonal(conjugated_jordan(rng, values, cut), conjugated_jordan(rng, values, n - cut))
+                for _ in range(2)]
+        mats = conjugate_all(mats, unimodular(rng, n))
+    mats.append(closing(mode, mats))
+    t = MatrixTuple(mode, mats, [[1] * n] * 3)
+    assert t.closed
+    cdim = oracle_centralizer_dim(mats)
+    assert hom_dim(mats, mats) == tl.centralizer_dim(t) == cdim
+    assert (cdim >= 2) == (structure == "direct_sum")
+    closing_dim = oracle_centralizer_dim(mats[-1:])
+    assert hom_dim(mats[-1:], mats[-1:]) == tl.centralizer_dim_of(mats[-1:]) == closing_dim
+    rep = tl.report(t)
+    assert rep["centralizer_dim"] == cdim and rep["wrong_spectrum"]

@@ -436,26 +436,31 @@ def test_report_shape():
 
 
 def test_report_checks_closure_once(monkeypatch):
+    """The closure is checked once, when a tuple is built; ``report`` and
+    every check it runs read ``MatrixTuple.closed``."""
+    data = build_trivial_centralizer_quadruple().to_json()
     calls = []
     checked = tl.verify_closure
     monkeypatch.setattr(tl, "verify_closure", lambda t: calls.append(t) or checked(t))
-    assert tl.report(build_trivial_centralizer_quadruple())["tangent_dim"] == 8
-    assert len(calls) == 1
+    quad = MatrixTuple.from_json(data)
     two = RatMatrix.identity(2).scale(2)
-    rep = tl.report(MatrixTuple("multiplicative", [RatMatrix.identity(2), two], [[1, 1], [2, 2]]))
-    assert len(calls) == 2
+    unclosed = MatrixTuple("multiplicative", [RatMatrix.identity(2), two], [[1, 1], [2, 2]])
+    assert calls == [quad, unclosed] and quad.closed and not unclosed.closed
+    monkeypatch.setattr(tl, "verify_closure", lambda t: pytest.fail("closure checked again"))
+    assert tl.report(quad)["tangent_dim"] == 8
+    assert tl.is_irreducible(quad) is False and tl.orbit_dim(quad) == 8
+    rep = tl.report(unclosed)
     assert rep["closure"] is False
     assert rep["tangent_dim"] is None and rep["tangent_dim_is_formal"] is None
 
 
 def count_routes(monkeypatch):
     """Lists that record each tuple given to the Burnside closure and to the
-    stacked centralizer elimination; each passes on the closure that
-    ``report`` hands it."""
+    stacked centralizer elimination."""
     closures, eliminations = [], []
     closure, stacked = tl.algebra_dim, tl.centralizer_dim
-    monkeypatch.setattr(tl, "algebra_dim", lambda t, closed=None: closures.append(t) or closure(t, closed))
-    monkeypatch.setattr(tl, "centralizer_dim", lambda t, closed=None: eliminations.append(t) or stacked(t, closed))
+    monkeypatch.setattr(tl, "algebra_dim", lambda t: closures.append(t) or closure(t))
+    monkeypatch.setattr(tl, "centralizer_dim", lambda t: eliminations.append(t) or stacked(t))
     return closures, eliminations
 
 
@@ -919,15 +924,15 @@ def test_a_closed_tuple_is_read_from_its_first_k_minus_1_matrices(case):
     k matrices: the closing matrix is a polynomial in the others."""
     structure, t = case
     n = t.n
-    assert tl.verify_closure(t) and tl.generators(t) == t.matrices[:-1]
+    assert t.closed and tl.verify_closure(t) and tl.generators(t) == t.matrices[:-1]
     mats = [m.row_lists() for m in t.matrices]
     cdim = n * n - echelon_rank([row for m in mats for row in commutation_system(m)])
     algebra = frontier_algebra_dim(mats)
     if structure == "direct_sum":
         assert cdim >= 2
     assert tl.centralizer_dim_of(t.matrices[:-1]) == tl.centralizer_dim(t) == cdim
-    assert tl.norton_spins(t) == tl.norton_spins(t, closed=True) == oracle_spins(t)
-    assert tl.algebra_dim(t) == tl.algebra_dim(t, closed=True) == algebra
+    assert tl.norton_spins(t) == oracle_spins(t)
+    assert tl.algebra_dim(t) == algebra
     rep = tl.report(t)
     assert (rep["centralizer_dim"], rep["irreducible"]) == (cdim, algebra == n * n)
 
@@ -939,7 +944,7 @@ def test_a_tuple_that_does_not_close_keeps_its_last_matrix():
     dimensions of matrices."""
     one = RatMatrix.identity(2)
     t = MatrixTuple("additive", [one, one, RatMatrix.diagonal([1, 2])], [[1, 1], [1, 1], [1, 2]])
-    assert not tl.verify_closure(t) and tl.generators(t) == t.matrices
+    assert not t.closed and not tl.verify_closure(t) and tl.generators(t) == t.matrices
     assert tl.centralizer_dim_of(t.matrices[:2]) == 4
     assert tl.centralizer_dim(t) == 2 and tl.orbit_dim(t) == 2
     assert tl.norton_spins(t) == (False, False)
