@@ -87,15 +87,13 @@ def _parse_analyze_input(data: dict) -> tuple[rd.JnfTuple, sp.SpectrumAssignment
 
 
 def _genericity_payload(spectrum: sp.SpectrumAssignment) -> dict:
+    if not sp.global_condition(spectrum):  # one combine decides it, whatever the search would cost
+        return {"global_condition": False}
     limit = GENERICITY_BUDGET // len(spectrum.classes)  # choices * classes <= budget exactly when choices <= limit
     if sp.relation_choices(spectrum, limit + 1) > limit:
         print(f"warning: more than {GENERICITY_BUDGET} combination steps; skipping relation enumeration", file=sys.stderr)
         return {"skipped": f"more than {GENERICITY_BUDGET} combination steps"}
-    try:
-        report = sp.classify(spectrum)  # checks the global condition before any enumeration
-    except sp.GlobalConditionViolatedError:
-        return {"global_condition": False}
-    out = report.to_json()
+    out = sp.classify(spectrum).to_json()
     out["global_condition"] = True
     return out
 

@@ -10,12 +10,15 @@ Scaling a row, or a whole operator block, by a nonzero integer changes no
 rank.  Each new row is reduced in one combination, and accepting it
 rewrites the stored rows with Bareiss's exact division (Math. Comp. 22,
 1968), so every entry stays a minor of the input and no row grows on its
-way through a reduction.  The stored rows are already the reduced row
-echelon form times one common pivot value d, with no back-substitution;
-``integer_kernel`` reads integer kernel vectors straight off them, and
-``rref``, nullspace bases and solutions (an inverse solves m X = I)
-divide by d only where they build their Fraction results.  Every matrix
-product, dense or integer, is ``matmul_rows``.
+way through a reduction.  ``IntEchelon(rows, bound)`` is the one place
+rows go in, so every caller reads one basis.  Its stored rows are already
+the reduced row echelon form times one common pivot value d, unsorted and
+with no back-substitution: ``integer_kernel`` reads integer kernel
+vectors straight off them, ``solve`` finds a system inconsistent exactly
+when a pivot lies in the right-hand-side columns, and ``rref`` sorts the
+rows by pivot itself.  Nullspace bases, ``rref`` and solutions (an
+inverse solves m X = I) divide by d only where they build their Fraction
+results.  Every matrix product, dense or integer, is ``matmul_rows``.
 
 Vectorization convention: an n x n matrix X maps to the length n**2 vector
 vec(X) listing entries row by row (row-major).  Every operator matrix comes
@@ -28,7 +31,9 @@ centralizer.
 
 Serialization: rationals are strings "p/q" or "p" with the sign on the
 numerator; matrices are JSON arrays of arrays of such strings.  ``rat``,
-``integer`` and ``json_list`` are the strict readers of JSON values.
+``integer``, ``json_list`` and ``json_object`` are the strict readers of
+JSON values; ``json_object`` also rejects any key outside the ones an
+object takes.
 """
 
 from __future__ import annotations
@@ -94,11 +99,16 @@ def json_list(value, what: str) -> list:
     return value
 
 
-def json_object(value, what: str) -> Mapping:
-    """value when it is a JSON object; anything else would otherwise fail
-    on its first key with Python's own indexing message."""
+def json_object(value, what: str, keys: Sequence[str] | None = None) -> Mapping:
+    """value when it is a JSON object, with no key outside keys when they
+    are given; anything else would otherwise fail on its first key with
+    Python's own indexing message, and an unknown key would be dropped
+    unread."""
     if not isinstance(value, Mapping):
         raise TypeError(f"{what} must be a JSON object, not {type(value).__name__}")
+    extra = sorted(set(value).difference(keys)) if keys is not None else []
+    if extra:
+        raise ValueError(f"{what} takes only {' and '.join(map(repr, keys))}, not {extra}")
     return value
 
 
@@ -288,10 +298,17 @@ class IntEchelon:
 
     __slots__ = ("rows", "pivots", "d")
 
-    def __init__(self) -> None:
+    def __init__(self, rows: Iterable[Iterable[int]] = (), bound: int | None = None) -> None:
+        """The basis of rows, added in their order.  Once it holds bound
+        rows (an upper bound on their rank, such as the row length), it
+        stops at the next row without reducing it and draws no more."""
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
         self.d = 1
+        for row in rows:
+            if len(self.rows) == bound:
+                break
+            self.add(row)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -322,29 +339,12 @@ class IntEchelon:
 def integer_rank(rows: Iterable[Sequence[int]], bound: int) -> int:
     """Rank over Q of integer rows, given an upper bound on it (such as the
     row length): rows after the bound is reached are not reduced."""
-    basis = IntEchelon()
-    for row in rows:
-        if len(basis) == bound:
-            break
-        basis.add(row)
-    return len(basis)
+    return len(IntEchelon(rows, bound))
 
 
 def rank(m: RatMatrix) -> int:
     """Rank over the rationals, via the integer echelon kernel."""
     return integer_rank(m.numerators, min(m.rows, m.cols))
-
-
-def _reduced_echelon(rows: Iterable[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
-    """The nonzero rows of the reduced row echelon form of integer rows,
-    each times the common pivot value d of ``IntEchelon`` (not divided by
-    it), with their pivot columns in increasing order; each caller divides
-    by d only where it builds a Fraction result."""
-    basis = IntEchelon()
-    for row in rows:
-        basis.add(row)
-    order = sorted(range(len(basis)), key=basis.pivots.__getitem__)
-    return [basis.rows[i] for i in order], [basis.pivots[i] for i in order]
 
 
 def integer_kernel(rows: Iterable[Sequence[int]], cols: int) -> list[list[int]]:
@@ -353,9 +353,7 @@ def integer_kernel(rows: Iterable[Sequence[int]], cols: int) -> list[list[int]]:
     and 0 at every other non-pivot column.  Read off the Gauss-Jordan rows
     R_i = d e_{p_i} + ... as v[c] = d and v[p_i] = -R_i[c]; a reduced row
     is 0 before its pivot, so c holds the vector's last nonzero entry."""
-    basis = IntEchelon()
-    for row in rows:
-        basis.add(row)
+    basis = IntEchelon(rows)
     kernel = []
     for c in sorted(set(range(cols)).difference(basis.pivots)):
         v = [0] * cols
@@ -369,9 +367,10 @@ def integer_kernel(rows: Iterable[Sequence[int]], cols: int) -> list[list[int]]:
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form (zero rows last) and its pivot columns."""
-    rows, pivots = _reduced_echelon(m.numerators)
-    out = [[Fraction(x, row[p]) for x in row] for row, p in zip(rows, pivots)]
-    return RatMatrix.from_rows(out + [[Fraction(0)] * m.cols] * (m.rows - len(rows))), tuple(pivots)
+    basis = IntEchelon(m.numerators)
+    ranked = sorted(zip(basis.pivots, basis.rows))  # pivots are distinct, so no two rows are compared
+    out = [[Fraction(x, basis.d) for x in row] for _, row in ranked] + [[Fraction(0)] * m.cols] * (m.rows - len(basis))
+    return RatMatrix.from_rows(out), tuple(p for p, _ in ranked)
 
 
 def nullspace_basis(m: RatMatrix) -> list[RatMatrix]:
@@ -403,12 +402,12 @@ def solve(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     if a.rows != b.rows:
         raise ShapeMismatchError("incompatible right-hand side")
     s = math.lcm(a.denominator, b.denominator)
-    rows, pivots = _reduced_echelon([*x, *y] for x, y in zip(_rows_at(a, s), _rows_at(b, s)))
-    if pivots and pivots[-1] >= a.cols:
+    basis = IntEchelon([*x, *y] for x, y in zip(_rows_at(a, s), _rows_at(b, s)))
+    if any(p >= a.cols for p in basis.pivots):  # a row 0 = nonzero right-hand side
         raise NoSolutionError("inconsistent linear system")
     out = [[Fraction(0)] * b.cols for _ in range(a.cols)]
-    for row, pc in zip(rows, pivots):
-        out[pc] = [Fraction(x, row[pc]) for x in row[a.cols :]]
+    for row, pc in zip(basis.rows, basis.pivots):
+        out[pc] = [Fraction(x, basis.d) for x in row[a.cols :]]
     return RatMatrix.from_rows(out)
 
 

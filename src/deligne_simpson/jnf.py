@@ -143,12 +143,13 @@ class Jnf:
     @classmethod
     def from_json(cls, data: Mapping | Sequence[Mapping]) -> Jnf:
         if isinstance(data, Mapping):
+            json_object(data, "abbreviated JNF", ("multiplicities",))
             if "multiplicities" not in data:
                 raise ValueError("abbreviated JNF needs a 'multiplicities' key")
             return cls.diagonal(capped(json_list(data["multiplicities"], "multiplicities")))
         if not isinstance(data, list):
             raise TypeError(f"a JNF must be a JSON object or list, not {type(data).__name__}")
-        data = [json_object(item, "JNF entry") for item in data]
+        data = [json_object(item, "JNF entry", ("eigenvalue", "blocks")) for item in data]
         blocks = [json_list(item["blocks"], "blocks") for item in data]
         capped(b for item in blocks for b in item)
         entries = [(item["eigenvalue"], Partition(b)) for item, b in zip(data, blocks)]

@@ -109,16 +109,13 @@ class FormalScalar:
 
     @classmethod
     def from_json(cls, data: Mapping, mode: str) -> FormalScalar:
-        json_object(data, "scalar")
         if mode == MULTIPLICATIVE:
             keys, build = ("exponents", "phase"), cls.multiplicative
         elif mode == ADDITIVE:
             keys, build = ("coefficients", "constant"), cls.additive
         else:
             raise ValueError(f"unknown mode {mode!r}")
-        extra = sorted(set(data) - set(keys))
-        if extra:
-            raise ValueError(f"a {mode} scalar takes only {keys[0]!r} and {keys[1]!r}, not {extra}")
+        json_object(data, f"a {mode} scalar", keys)
         return build(data.get(keys[0]), data.get(keys[1], 0))
 
 
@@ -194,7 +191,12 @@ class SpectrumAssignment:
     def from_json(cls, data: Mapping) -> SpectrumAssignment:
         json_object(data, "spectrum")
         mode = data.get("mode", MULTIPLICATIVE)
-        declared = set(json_list(data["symbols"], "symbols")) if "symbols" in data else None
+        declared = None
+        if "symbols" in data:
+            declared = json_list(data["symbols"], "symbols")
+            if not all(isinstance(sym, str) for sym in declared):
+                raise TypeError("symbols must be strings")
+            declared = set(declared)
         classes = []
         for cls_data in json_list(data["classes"], "classes"):
             entries = []

@@ -185,6 +185,27 @@ def test_analyze_text_reports_a_violated_global_condition(tmp_path, capsys, monk
     assert "genericity: global product-1 / sum-0 condition VIOLATED\n" in out
 
 
+def test_analyze_checks_the_global_condition_before_the_budget(tmp_path, capsys):
+    # 3 classes of 16 distinct symbols: far past the budget, and the product
+    # of all 48 eigenvalues is not 1
+    classes = [
+        [{"scalar": {"exponents": {f"a{i}_{j}": "1"}, "phase": "0"}, "mult": 1} for j in range(16)]
+        for i in range(3)
+    ]
+    payload = {"jnfs": [{"multiplicities": [1] * 16}] * 3, "spectrum": {"mode": "multiplicative", "classes": classes}}
+    spectrum = sp.SpectrumAssignment.from_json(payload["spectrum"])
+    assert sp.relation_choices(spectrum, GENERICITY_BUDGET) == GENERICITY_BUDGET
+    assert not sp.global_condition(spectrum)
+    path = tmp_path / "violated.json"
+    path.write_text(dumps(payload), encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "-i", str(path), "--json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["genericity"] == {"global_condition": False}
+    code, out, err = run(capsys, "analyze", "-i", str(path))
+    assert code == 0 and err == ""
+    assert "genericity: global product-1 / sum-0 condition VIOLATED\n" in out
+
+
 def test_analyze_spectrum_multiplicities_must_match_the_jnfs(tmp_path, capsys):
     def pair(sym):
         return [{"scalar": {"coefficients": {sym: c}, "constant": "0"}, "mult": 2} for c in (1, -1)]
@@ -303,8 +324,16 @@ DIAGONAL = {"multiplicities": [1, 1]}
         ([None, DIAGONAL], "a JNF must be a JSON object or list, not NoneType"),
         ([[[1]], DIAGONAL], "JNF entry must be a JSON object, not list"),
         ([[{"eigenvalue": "a"}, {"eigenvalue": "b", "blocks": [1]}], DIAGONAL], "missing key 'blocks'"),
+        # an unknown key is an error, not a key dropped unread
+        ([{"multiplicities": [1, 1], "bogus": 1}, DIAGONAL],
+         "abbreviated JNF takes only 'multiplicities', not ['bogus']"),
+        ([{"multiplicities": [2], "eigenvalue": "x"}, DIAGONAL],
+         "abbreviated JNF takes only 'multiplicities', not ['eigenvalue']"),
+        ([[{"eigenvalue": "a", "blocks": [1], "bogus": 1}, {"eigenvalue": "b", "blocks": [1]}], DIAGONAL],
+         "JNF entry takes only 'eigenvalue' and 'blocks', not ['bogus']"),
     ],
-    ids=["string", "int-entry", "null-entry", "list-entry", "no-blocks"],
+    ids=["string", "int-entry", "null-entry", "list-entry", "no-blocks", "abbreviated-extra-key",
+         "abbreviated-label", "entry-extra-key"],
 )
 def test_analyze_malformed_jnf_tuple_gets_an_input_message(tmp_path, capsys, jnfs, message):
     file = tmp_path / "jnfs.json"
@@ -343,6 +372,9 @@ FIRST_SCALAR = ("spectrum", "classes", 0, 0)
         (FIRST_SCALAR + ("mult",), "2", "bad spectrum"),
         (("spectrum", "symbols"), "e23", "bad spectrum"),
         (("spectrum", "symbols"), [], "bad spectrum"),
+        # a symbol that is not a string is named as such, not as undeclared or unhashable
+        (("spectrum", "symbols"), [1], "bad spectrum: symbols must be strings"),
+        (("spectrum", "symbols"), [[1]], "bad spectrum: symbols must be strings"),
         (FIRST_SCALAR + ("scalar", "exponents"), [1], "bad spectrum"),
         (FIRST_SCALAR + ("scalar", "phase"), "1\n", "bad spectrum"),
         (FIRST_SCALAR + ("scalar", "phase"), "\u0661", "bad spectrum"),
@@ -350,7 +382,7 @@ FIRST_SCALAR = ("spectrum", "classes", 0, 0)
         (("spectrum", "classes"), [[[1]], [[1]]], "bad spectrum: class entry must be a JSON object, not list"),
     ],
     ids=[
-        "mult-float", "mult-string", "symbols-string", "symbols-empty",
+        "mult-float", "mult-string", "symbols-string", "symbols-empty", "symbols-int", "symbols-list",
         "exponents-list", "phase-newline", "phase-arabic-indic",
         "classes-object", "class-entry-list",
     ],

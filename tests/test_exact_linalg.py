@@ -96,6 +96,10 @@ def test_solve_particular_and_inconsistent():
     assert (a @ x) == b
     with pytest.raises(xl.NoSolutionError):
         xl.solve(a, RatMatrix.column([1, 3]))
+    # the row 0 = 1 is accepted first, and a consistent row after it gets a
+    # pivot in a's columns: the system is still inconsistent
+    with pytest.raises(xl.NoSolutionError):
+        xl.solve(RatMatrix.from_rows([[0, 0], [1, 2]]), RatMatrix.column([1, 5]))
 
 
 def test_json_roundtrip():

@@ -301,7 +301,8 @@ def test_int_echelon_rows_are_bareiss_minors_of_the_accepted_rows(case):
     form."""
     rows, cols = case
     basis = IntEchelon()
-    accepted = [row for row in rows if basis.add(row)]
+    taken = [i for i, row in enumerate(rows) if basis.add(row)]
+    accepted = [rows[i] for i in taken]
     assert len(basis) == len(accepted) == minor_rank([[F(x) for x in row] for row in rows])
     assert len(basis.pivots) == len(set(basis.pivots)) == len(basis)
     d, pivots = basis.d, basis.pivots
@@ -321,6 +322,16 @@ def test_int_echelon_rows_are_bareiss_minors_of_the_accepted_rows(case):
         assert all(row[j] == sign * minor(pivots[:i] + [j] + pivots[i + 1 :]) for j in range(cols))
     order = sorted(range(len(basis)), key=pivots.__getitem__)
     assert [[F(x, d) for x in basis.rows[i]] for i in order] == reduced_echelon(rows)
+
+    built = IntEchelon(rows)
+    assert (built.rows, built.pivots, built.d) == (basis.rows, basis.pivots, basis.d)
+    # a bound stops the intake: the row after the one that fills the basis
+    # is drawn but not reduced, and no row after it is drawn
+    bound = len(basis)
+    rest = iter(rows)
+    bounded = IntEchelon(rest, bound)
+    assert (bounded.rows, bounded.pivots, bounded.d) == (basis.rows, basis.pivots, basis.d)
+    assert list(rest) == rows[taken[-1] + 2 :]
 
 
 def test_int_echelon_entries_stay_int_and_rank_matches_minors():
