@@ -27,13 +27,16 @@ from contextlib import contextmanager
 from . import reduction as rd
 from . import spectra as sp
 from . import tuple_lab as tl
+from .exact_linalg import json_object
 from .jnf import Partition, capped
 from .workbench import builtin_corpus, run_corpus
 from .workbench.export import dumps
 
-# The relation search combines, and writes, one part per class for each of
-# its choices, so its work grows as choices times classes; past this many
-# such steps the CLI reports genericity as skipped rather than stalling.
+# The budget caps the product count, choices times classes: every choice
+# could be a witness of one part per class, so it bounds the witnesses
+# written, not the combinations formed (the search meets in the middle and
+# forms only the two half products).  Past it the CLI reports genericity as
+# skipped rather than stalling.
 GENERICITY_BUDGET = 25_000
 
 
@@ -67,6 +70,8 @@ def _malformed(what: str):
 
 
 def _parse_analyze_input(data: dict) -> tuple[rd.JnfTuple, sp.SpectrumAssignment | None]:
+    with _malformed("bad input"):
+        json_object(data, "analyze input", ("jnfs", "spectrum"))
     if "jnfs" not in data:
         raise InputError("analyze input needs a 'jnfs' key")
     with _malformed("bad JNF tuple"):

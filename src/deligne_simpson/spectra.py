@@ -17,7 +17,12 @@ decides, exactly:
 * the global condition -- product of all eigenvalues equal to 1, or sum
   equal to 0, with multiplicities;
 * all vanishing relations: choices of equal-size (< n) sub-multisets, one
-  per class, whose combined scalar is the identity;
+  per class, whose combined scalar is the identity.  The search runs on
+  integers: each distinct scalar is its coefficients over the symbols and
+  its offset, all times one common denominator D, and a choice vanishes
+  when its summed tuple is 0 (a multiplicative offset only 0 mod D).  It
+  meets in the middle, hashing the first half of the classes' choices
+  and looking up the other half's, and forms no scalar per combination;
 * the basic relation obtained from q = gcd of all multiplicities, and its
   repetition corollaries;
 * the verdicts generic / relatively generic / non-generic.  A spectrum is
@@ -31,8 +36,8 @@ the module never invents relations between distinct symbols.
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -189,7 +194,7 @@ class SpectrumAssignment:
 
     @classmethod
     def from_json(cls, data: Mapping) -> SpectrumAssignment:
-        json_object(data, "spectrum")
+        json_object(data, "spectrum", ("mode", "symbols", "classes", "n"))
         mode = data.get("mode", MULTIPLICATIVE)
         declared = None
         if "symbols" in data:
@@ -201,7 +206,7 @@ class SpectrumAssignment:
         for cls_data in json_list(data["classes"], "classes"):
             entries = []
             for item in json_list(cls_data, "class"):
-                json_object(item, "class entry")
+                json_object(item, "class entry", ("scalar", "mult"))
                 scalar = FormalScalar.from_json(item["scalar"], mode)
                 if declared is not None and not set(scalar.symbols()) <= declared:
                     raise ValueError(f"undeclared symbols in {scalar!r}")
@@ -295,34 +300,82 @@ def _count_vectors(mults: Sequence[int], size: int):
             yield (c, *tail)
 
 
+def _integer_form(s: SpectrumAssignment) -> tuple[list[list[tuple[int, ...]]], int]:
+    """Per class, each scalar of s as ints: its coefficients over
+    s.symbols(), then its offset, all times D, the lcm of every denominator
+    among them; and D.  A combination is the identity exactly when its
+    summed tuple is 0, except that a multiplicative offset only has to be
+    0 mod D."""
+    scalars = [scalar for cls_ in s.classes for scalar, _ in cls_]
+    den = math.lcm(*(c.denominator for sc in scalars for c in (sc.offset, *(c for _, c in sc.terms))))
+    column = {sym: i for i, sym in enumerate(s.symbols())}
+    form = []
+    for cls_ in s.classes:
+        rows = []
+        for sc, _ in cls_:
+            vec = [0] * len(column) + [sc.offset.numerator * (den // sc.offset.denominator)]
+            for sym, c in sc.terms:
+                vec[column[sym]] = c.numerator * (den // c.denominator)
+            rows.append(tuple(vec))
+        form.append(rows)
+    return form, den
+
+
+def _products(per_class, width: int) -> list:
+    """Every choice of one option per class, as (parts, summed tuple)."""
+    out = [((), (0,) * width)]
+    for options in per_class:
+        out = [
+            (parts + (chosen,), tuple(map(operator.add, total, vec)))
+            for parts, total in out
+            for chosen, vec in options
+        ]
+    return out
+
+
 def enumerate_relations(s: SpectrumAssignment, m: int) -> tuple[RelationWitness, ...]:
     """All relations with sub-multisets of size m (1 <= m < n), one per class,
-    in a deterministic (lexicographic) order."""
+    in a deterministic (lexicographic) order.
+
+    Meet in the middle (Horowitz & Sahni, J. ACM 21, 1974) on the integer
+    form: the negated sums of the first half of the classes' choices are
+    hashed, and each sum of the other half's choices is looked up, so the
+    search forms the two half products, not their product."""
     if not 1 <= m < s.n:
         raise ValueError(f"relation size must satisfy 1 <= m < n, got {m}")
+    form, den = _integer_form(s)
+    wrap = den if s.mode == MULTIPLICATIVE else None
+
+    def normal(vec):
+        return vec if wrap is None else (*vec[:-1], vec[-1] % wrap)
+
+    width = len(form[0][0])
     per_class = []
-    for cls_ in s.classes:
-        scalars = [scalar for scalar, _ in cls_]
-        mults = [mult for _, mult in cls_]
+    for cls_, rows in zip(s.classes, form):
         options = []
-        for counts in _count_vectors(mults, m):
-            chosen = tuple((sc, c) for sc, c in zip(scalars, counts) if c)
-            options.append((chosen, combine(((sc, c) for sc, c in chosen), s.mode)))
+        for counts in _count_vectors([mult for _, mult in cls_], m):
+            chosen = tuple((sc, c) for (sc, _), c in zip(cls_, counts) if c)
+            options.append((chosen, tuple(sum(map(operator.mul, counts, col)) for col in zip(*rows))))
         per_class.append(options)
-    witnesses = []
-    for combo in itertools.product(*per_class):
-        total = combine(((part_sum, 1) for _, part_sum in combo), s.mode)
-        if total.is_identity():
-            witnesses.append(RelationWitness(m, tuple(chosen for chosen, _ in combo)))
+    half = len(per_class) // 2
+    needed: dict[tuple[int, ...], list] = {}
+    for parts, total in _products(per_class[:half], width):
+        needed.setdefault(normal(tuple(-x for x in total)), []).append(parts)
+    witnesses = [
+        RelationWitness(m, left + right)
+        for right, total in _products(per_class[half:], width)
+        for left in needed.get(normal(total), ())
+    ]
     return tuple(sorted(witnesses, key=RelationWitness.key))
 
 
 def relation_choices(s: SpectrumAssignment, cap: int) -> int:
-    """min(cap, the number of choices ``all_relations`` tries): the sum over
-    sizes 1 <= m < n of the product over classes of their size-m choices.
-    A class's choices summed over m, prod_i (mult_i + 1) - 2, bound that
-    number from below; they are checked first, so no class with cap or more
-    choices is enumerated, and the count stops once it reaches cap."""
+    """min(cap, the number of choices ``all_relations`` searches): the sum
+    over sizes 1 <= m < n of the product over classes of their size-m
+    choices.  A class's choices summed over m, prod_i (mult_i + 1) - 2,
+    bound that number from below; they are checked first, so no class with
+    cap or more choices is enumerated, and the count stops once it reaches
+    cap."""
     for cls_ in s.classes:
         bound = 1
         for _, mult in cls_:

@@ -87,7 +87,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import exact_linalg as xl
-from .exact_linalg import RatMatrix, json_list, rat, rational_from_str, rational_to_str
+from .exact_linalg import RatMatrix, json_list, json_object, rat, rational_from_str, rational_to_str
 from .jnf import Jnf, Partition, centralizer_dim_of_jnf
 from .reduction import JnfTuple, expected_dim, kappa
 from .spectra import ADDITIVE, MULTIPLICATIVE
@@ -162,6 +162,7 @@ class MatrixTuple:
 
     @classmethod
     def from_json(cls, data: Mapping) -> MatrixTuple:
+        json_object(data, "matrix tuple", ("mode", "matrices", "eigenvalues"))
         return cls(
             data["mode"],
             [RatMatrix.from_json(m) for m in json_list(data["matrices"], "matrices")],

@@ -4,14 +4,18 @@ Nothing here goes through the package's elimination routines: rank comes
 from enumerating minors with a cofactor determinant or from a plain
 Fraction echelon, and matrix products are computed entrywise; the
 generic Deligne-Simpson verdict comes from a root test on a star-shaped
-quiver, not from the reduction.  Slow, but exact and structurally
-unrelated to the code paths under test.
+quiver, not from the reduction; the relations of a spectrum come from
+combining every choice of the Cartesian product, not from the hashed
+search.  Slow, but exact and structurally unrelated to the code paths
+under test.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+
+from deligne_simpson import spectra as sp
 
 
 def det_cofactor(rows: list[list[Fraction]]) -> Fraction:
@@ -230,3 +234,21 @@ def star_root_kind(classes: list[list[tuple[str, list[int]]]]) -> str | None:
                 reached.add(j)
                 stack.append(j)
     return "imaginary" if reached == support else None
+
+
+def brute_relations(s, m: int) -> tuple:
+    """Every relation of size m found by walking the whole Cartesian
+    product of the classes' size-m choices and combining each with
+    ``spectra.combine``, sorted by ``RelationWitness.key``."""
+    per_class = []
+    for cls_ in s.classes:
+        options = []
+        for counts in sp._count_vectors([mult for _, mult in cls_], m):
+            chosen = tuple((scalar, c) for (scalar, _), c in zip(cls_, counts) if c)
+            options.append((chosen, sp.combine(chosen, s.mode)))
+        per_class.append(options)
+    witnesses = []
+    for combo in product(*per_class):
+        if sp.combine(((part_sum, 1) for _, part_sum in combo), s.mode).is_identity():
+            witnesses.append(sp.RelationWitness(m, tuple(chosen for chosen, _ in combo)))
+    return tuple(sorted(witnesses, key=sp.RelationWitness.key))

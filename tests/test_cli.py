@@ -394,6 +394,32 @@ def test_analyze_malformed_spectrum_is_input_error(tmp_path, capsys, path, value
     assert code == 2 and message in err
 
 
+@pytest.mark.parametrize(
+    "command, name, path, known, key, keep, message",
+    [
+        # a misspelt "spectrum" would drop the spectrum unread
+        ("analyze", "example1.analyze.json", (), "spectrum", "spectrm", False,
+         "bad input: analyze input takes only 'jnfs' and 'spectrum', not ['spectrm']"),
+        ("analyze", "example1.analyze.json", ("spectrum",), "symbols", "symbls", True,
+         "bad spectrum: spectrum takes only 'mode' and 'symbols' and 'classes' and 'n', not ['symbls']"),
+        ("analyze", "example1.analyze.json", FIRST_SCALAR, "mult", "multt", True,
+         "bad spectrum: class entry takes only 'scalar' and 'mult', not ['multt']"),
+        ("verify", "example4_first_quadruple.verify.json", (), "mode", "mdoe", True,
+         "bad matrix tuple: matrix tuple takes only 'mode' and 'matrices' and 'eigenvalues', not ['mdoe']"),
+    ],
+    ids=["analyze-spectrum-renamed", "spectrum-extra", "class-entry-extra", "verify-extra"],
+)
+def test_an_unknown_key_is_input_error(tmp_path, capsys, command, name, path, known, key, keep, message):
+    payload = shipped(name)
+    node = payload
+    for step in path:
+        node = node[step]
+    node[key] = node[known] if keep else node.pop(known)
+    file = tmp_path / "unknown.json"
+    file.write_text(json.dumps(payload), encoding="utf-8")
+    assert run(capsys, command, "-i", str(file)) == (2, "", f"error: {message}\n")
+
+
 def test_analyze_unknown_spectrum_mode_is_input_error(tmp_path, capsys):
     payload = shipped("example1.analyze.json")
     payload["spectrum"] = fixture_by_name("example1").aux_spectra["additive"].to_json()

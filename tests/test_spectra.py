@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from deligne_simpson import spectra as sp
 from deligne_simpson.spectra import ADDITIVE, MULTIPLICATIVE, FormalScalar, SpectrumAssignment
 from deligne_simpson.workbench import make_witness
-from oracles import scaled_full_witnesses
+from oracles import brute_relations, scaled_full_witnesses
 
 S = FormalScalar.multiplicative
 A = FormalScalar.additive
@@ -278,3 +279,80 @@ def test_relation_choices_counts_the_filtered_product(spectrum, cap):
             per_class.append(len(every))
         choices += math.prod(per_class)
     assert sp.relation_choices(spectrum, cap) == min(cap, choices)
+
+
+# Phases and constants with denominators 2, 3, 4 and 6, so that the
+# multiplicative offsets of a choice wrap past 1 (past D in the integer form).
+PHASES = [0, F(1, 2), F(1, 3), F(2, 3), F(1, 4), F(3, 4), F(1, 6), F(5, 6)]
+
+
+@st.composite
+def any_spectra(draw):
+    """Spectra of 1-5 classes, in either mode, over two symbols with
+    coefficients in {-1, 1/2, 1} or none, and mixed-denominator offsets;
+    the global condition holds only when drawn so.  n shrinks as classes
+    are added so that the brute-force product stays small."""
+    mode = draw(st.sampled_from((MULTIPLICATIVE, ADDITIVE)))
+    count = draw(st.integers(1, 5))
+    n = draw(st.integers(2, {1: 5, 2: 5, 3: 4}.get(count, 3)))
+    build = S if mode == MULTIPLICATIVE else A
+    terms = st.one_of(  # half of them pure offsets, so that relations are common
+        st.just({}), st.dictionaries(st.sampled_from("ab"), st.sampled_from([-1, F(1, 2), 1]), max_size=2)
+    )
+    scalars = st.builds(build, terms, st.sampled_from(PHASES if mode == MULTIPLICATIVE else [-1, *PHASES]))
+    classes = []
+    for _ in range(count):
+        mults, remaining = [], n
+        while remaining:
+            mults.append(draw(st.integers(1, remaining)))
+            remaining -= mults[-1]
+        classes.append([(draw(scalars), k) for k in mults])
+    if draw(st.booleans()):  # solve the last eigenvalue for the global condition
+        *rest, (_, mu) = [e for cls_ in classes for e in cls_]
+        classes[-1][-1] = (sp.combine([(sp.combine(rest, mode), F(-1, mu))], mode), mu)
+    merged = []  # equal eigenvalues of one class add their multiplicities
+    for cls_ in classes:
+        counts = {}
+        for scalar, mult in cls_:
+            counts[scalar] = counts.get(scalar, 0) + mult
+        merged.append(list(counts.items()))
+    return SpectrumAssignment(merged)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spectrum=any_spectra())
+def test_enumerate_relations_matches_the_cartesian_product(spectrum):
+    for m in range(1, spectrum.n):
+        assert sp.enumerate_relations(spectrum, m) == brute_relations(spectrum, m)
+
+
+def four_by_four_spectrum():
+    """n = 8, four classes of four eigenvalues of multiplicity 2 each; the
+    last eigenvalue inverts all the others, so the product is 1 and the
+    only relation is the halved spectrum.  281 905 choices in all."""
+    syms = [[f"x{j}{i}" for i in range(4)] for j in range(4)]
+    classes = [[(S({sym: 1}), 2) for sym in row] for row in syms]
+    classes[-1][-1] = (S({sym: -1 for row in syms for sym in row if sym != "x33"}), 2)
+    return SpectrumAssignment(classes)
+
+
+def test_enumerate_relations_forms_no_scalar_per_combination(monkeypatch):
+    spectrum = four_by_four_spectrum()
+    calls = []
+    real = sp.combine
+    monkeypatch.setattr(sp, "combine", lambda pairs, mode: calls.append(mode) or real(pairs, mode))
+    assert len(sp.enumerate_relations(spectrum, 4)) == 1  # out of 19**4 choices
+    assert calls == []
+    sp.classify(spectrum)
+    assert 0 < len(calls) <= 2  # the global condition and the basic relation's phase
+
+
+def test_classify_four_by_four_at_n_8_is_fast():
+    spectrum = four_by_four_spectrum()
+    start = time.perf_counter()
+    report = sp.classify(spectrum)
+    assert time.perf_counter() - start < 2
+    assert report.verdict == "relatively_generic" and report.offenders == ()
+    halved = tuple(tuple((scalar, 1) for scalar, _ in cls_) for cls_ in spectrum.classes)
+    assert [(w.size, w.parts) for w in report.witnesses] == [(4, halved)]
+    assert report.basic.relation == report.witnesses[0]
