@@ -32,11 +32,11 @@ from .jnf import Partition, capped
 from .workbench import builtin_corpus, run_corpus
 from .workbench.export import dumps
 
-# The budget caps the product count, choices times classes: every choice
-# could be a witness of one part per class, so it bounds the witnesses
-# written, not the combinations formed (the search meets in the middle and
-# forms only the two half products).  Past it the CLI reports genericity as
-# skipped rather than stalling.
+# The relation search's budget, in parts (one class's sub-multiset each).
+# The search charges what it forms and writes: the per-class options over
+# all sizes, the two half products of each size and each witness found,
+# each held to the budget on its own.  Past it the CLI reports genericity
+# as skipped rather than stalling.
 GENERICITY_BUDGET = 25_000
 
 
@@ -92,13 +92,13 @@ def _parse_analyze_input(data: dict) -> tuple[rd.JnfTuple, sp.SpectrumAssignment
 
 
 def _genericity_payload(spectrum: sp.SpectrumAssignment) -> dict:
-    if not sp.global_condition(spectrum):  # one combine decides it, whatever the search would cost
+    try:  # classify checks the global condition first, whatever the search would cost
+        out = sp.classify(spectrum, GENERICITY_BUDGET).to_json()
+    except sp.GlobalConditionViolatedError:
         return {"global_condition": False}
-    limit = GENERICITY_BUDGET // len(spectrum.classes)  # choices * classes <= budget exactly when choices <= limit
-    if sp.relation_choices(spectrum, limit + 1) > limit:
+    except sp.BudgetExceeded:
         print(f"warning: more than {GENERICITY_BUDGET} combination steps; skipping relation enumeration", file=sys.stderr)
         return {"skipped": f"more than {GENERICITY_BUDGET} combination steps"}
-    out = sp.classify(spectrum).to_json()
     out["global_condition"] = True
     return out
 

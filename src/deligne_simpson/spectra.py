@@ -22,7 +22,12 @@ decides, exactly:
   its offset, all times one common denominator D, and a choice vanishes
   when its summed tuple is 0 (a multiplicative offset only 0 mod D).  It
   meets in the middle, hashing the first half of the classes' choices
-  and looking up the other half's, and forms no scalar per combination;
+  and looking up the other half's, and forms no scalar per combination.
+  Given a budget, it meters its own work in parts (one class's
+  sub-multiset each): every class's options over all sizes, charged
+  before any is built; each size's two half products, charged before
+  they are formed; and each witness, charged as it is found.  Any one
+  charge past the budget raises BudgetExceeded;
 * the basic relation obtained from q = gcd of all multiplicities, and its
   repetition corollaries;
 * the verdicts generic / relatively generic / non-generic.  A spectrum is
@@ -333,16 +338,37 @@ def _products(per_class, width: int) -> list:
     return out
 
 
-def enumerate_relations(s: SpectrumAssignment, m: int) -> tuple[RelationWitness, ...]:
+class BudgetExceeded(Exception):
+    """The relation search would form or write more parts than its budget."""
+
+
+class _Meter:
+    """Parts charged by the relation search under three names (options,
+    half products, witnesses), each held to the budget on its own."""
+
+    def __init__(self, budget: int | None):
+        self.budget = budget
+        self.spent: dict[str, int] = {}
+
+    def charge(self, what: str, parts: int) -> None:
+        self.spent[what] = self.spent.get(what, 0) + parts
+        if self.budget is not None and self.spent[what] > self.budget:
+            raise BudgetExceeded(f"{what}: more than {self.budget} parts")
+
+
+def enumerate_relations(s: SpectrumAssignment, m: int, meter: _Meter | None = None) -> tuple[RelationWitness, ...]:
     """All relations with sub-multisets of size m (1 <= m < n), one per class,
     in a deterministic (lexicographic) order.
 
     Meet in the middle (Horowitz & Sahni, J. ACM 21, 1974) on the integer
     form: the negated sums of the first half of the classes' choices are
     hashed, and each sum of the other half's choices is looked up, so the
-    search forms the two half products, not their product."""
+    search forms the two half products, not their product.  A meter is
+    charged the parts of both half products before either is formed, and
+    the parts of each witness as it is found."""
     if not 1 <= m < s.n:
         raise ValueError(f"relation size must satisfy 1 <= m < n, got {m}")
+    meter = meter or _Meter(None)
     form, den = _integer_form(s)
     wrap = den if s.mode == MULTIPLICATIVE else None
 
@@ -358,45 +384,29 @@ def enumerate_relations(s: SpectrumAssignment, m: int) -> tuple[RelationWitness,
             options.append((chosen, tuple(sum(map(operator.mul, counts, col)) for col in zip(*rows))))
         per_class.append(options)
     half = len(per_class) // 2
+    left, right = per_class[:half], per_class[half:]
+    meter.charge("half products", sum(len(side) * math.prod(map(len, side)) for side in (left, right)))
     needed: dict[tuple[int, ...], list] = {}
-    for parts, total in _products(per_class[:half], width):
+    for parts, total in _products(left, width):
         needed.setdefault(normal(tuple(-x for x in total)), []).append(parts)
-    witnesses = [
-        RelationWitness(m, left + right)
-        for right, total in _products(per_class[half:], width)
-        for left in needed.get(normal(total), ())
-    ]
+    witnesses = []
+    for right_parts, total in _products(right, width):
+        for left_parts in needed.get(normal(total), ()):
+            meter.charge("witnesses", len(per_class))
+            witnesses.append(RelationWitness(m, left_parts + right_parts))
     return tuple(sorted(witnesses, key=RelationWitness.key))
 
 
-def relation_choices(s: SpectrumAssignment, cap: int) -> int:
-    """min(cap, the number of choices ``all_relations`` searches): the sum
-    over sizes 1 <= m < n of the product over classes of their size-m
-    choices.  A class's choices summed over m, prod_i (mult_i + 1) - 2,
-    bound that number from below; they are checked first, so no class with
-    cap or more choices is enumerated, and the count stops once it reaches
-    cap."""
-    for cls_ in s.classes:
-        bound = 1
-        for _, mult in cls_:
-            bound = min(bound * (mult + 1), cap + 2)
-        if bound - 2 >= cap:
-            return cap
-    total = 0
-    for m in range(1, s.n):
-        term = 1
-        for cls_ in s.classes:
-            term *= sum(1 for _ in _count_vectors([mult for _, mult in cls_], m))
-        total += term
-        if total >= cap:
-            return cap
-    return total
-
-
-def all_relations(s: SpectrumAssignment) -> tuple[RelationWitness, ...]:
+def all_relations(s: SpectrumAssignment, budget: int | None = None) -> tuple[RelationWitness, ...]:
+    """Every relation, by size.  Past the budget, in parts formed or written
+    by any one charge, raise BudgetExceeded.  The options come first: over
+    all sizes a class has prod_i (mult_i + 1) - 2 of them, charged before
+    any is enumerated."""
+    meter = _Meter(budget)
+    meter.charge("options", sum(math.prod(mult + 1 for _, mult in cls_) - 2 for cls_ in s.classes))
     out: list[RelationWitness] = []
     for m in range(1, s.n):
-        out.extend(enumerate_relations(s, m))
+        out.extend(enumerate_relations(s, m, meter))
     return tuple(out)
 
 
@@ -446,12 +456,12 @@ def is_generic(s: SpectrumAssignment) -> GenericityReport:
     return GenericityReport(verdict, witnesses, None, witnesses)
 
 
-def classify(s: SpectrumAssignment) -> GenericityReport:
+def classify(s: SpectrumAssignment, budget: int | None = None) -> GenericityReport:
     """Three-way verdict: generic / relatively generic (only the basic
     relation and its corollaries hold) / non-generic with the offending
-    witnesses."""
+    witnesses.  The budget is that of ``all_relations``."""
     basic = basic_relation(s)  # checks the global condition before any enumeration
-    witnesses = all_relations(s)
+    witnesses = all_relations(s, budget)
     if not witnesses:
         return GenericityReport(GENERIC, witnesses, basic, ())
     offenders = tuple(w for w in witnesses if not _is_proportional(s, w))

@@ -6,7 +6,8 @@ Fraction echelon, and matrix products are computed entrywise; the
 generic Deligne-Simpson verdict comes from a root test on a star-shaped
 quiver, not from the reduction; the relations of a spectrum come from
 combining every choice of the Cartesian product, not from the hashed
-search.  Slow, but exact and structurally unrelated to the code paths
+search, and the genericity budget's reference is the old count of that
+product.  Slow, but exact and structurally unrelated to the code paths
 under test.
 """
 
@@ -252,3 +253,32 @@ def brute_relations(s, m: int) -> tuple:
         if sp.combine(((part_sum, 1) for _, part_sum in combo), s.mode).is_identity():
             witnesses.append(sp.RelationWitness(m, tuple(chosen for chosen, _ in combo)))
     return tuple(sorted(witnesses, key=sp.RelationWitness.key))
+
+
+def relation_choices(s, cap: int) -> int:
+    """The Cartesian pre-count that budgeted the genericity search before
+    the search metered its own work.  ``cli`` skipped a spectrum when this
+    count times the number of classes passed the budget, so the metered
+    search must decide every spectrum that passed.
+
+    min(cap, the number of choices ``all_relations`` searches): the sum
+    over sizes 1 <= m < n of the product over classes of their size-m
+    choices.  A class's choices summed over m, prod_i (mult_i + 1) - 2,
+    bound that number from below; they are checked first, so no class with
+    cap or more choices is enumerated, and the count stops once it reaches
+    cap."""
+    for cls_ in s.classes:
+        bound = 1
+        for _, mult in cls_:
+            bound = min(bound * (mult + 1), cap + 2)
+        if bound - 2 >= cap:
+            return cap
+    total = 0
+    for m in range(1, s.n):
+        term = 1
+        for cls_ in s.classes:
+            term *= sum(1 for _ in sp._count_vectors([mult for _, mult in cls_], m))
+        total += term
+        if total >= cap:
+            return cap
+    return total

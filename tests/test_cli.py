@@ -18,6 +18,7 @@ from deligne_simpson.cli import GENERICITY_BUDGET, main
 from deligne_simpson.jnf import SIZE_CAP
 from deligne_simpson.workbench import fixture_by_name
 from deligne_simpson.workbench.export import dumps
+from oracles import relation_choices
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -194,7 +195,9 @@ def test_analyze_checks_the_global_condition_before_the_budget(tmp_path, capsys)
     ]
     payload = {"jnfs": [{"multiplicities": [1] * 16}] * 3, "spectrum": {"mode": "multiplicative", "classes": classes}}
     spectrum = sp.SpectrumAssignment.from_json(payload["spectrum"])
-    assert sp.relation_choices(spectrum, GENERICITY_BUDGET) == GENERICITY_BUDGET
+    assert relation_choices(spectrum, GENERICITY_BUDGET) == GENERICITY_BUDGET
+    with pytest.raises(sp.BudgetExceeded):
+        sp.all_relations(spectrum, GENERICITY_BUDGET)
     assert not sp.global_condition(spectrum)
     path = tmp_path / "violated.json"
     path.write_text(dumps(payload), encoding="utf-8")
@@ -535,7 +538,7 @@ def test_analyze_skips_oversized_spectra(tmp_path):
     payload = reciprocal_pairs_input()
     path = tmp_path / "pairs.json"
     path.write_text(dumps(payload), encoding="utf-8")
-    assert sp.relation_choices(sp.SpectrumAssignment.from_json(payload["spectrum"]), 2**23) == 2**22
+    assert relation_choices(sp.SpectrumAssignment.from_json(payload["spectrum"]), 2**23) == 2**22
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "deligne_simpson", "analyze", "-i", str(path), "--json"],
@@ -545,6 +548,90 @@ def test_analyze_skips_oversized_spectra(tmp_path):
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["genericity"] == {"skipped": f"more than {GENERICITY_BUDGET} combination steps"}
     assert "skipping relation enumeration" in proc.stderr
+
+
+def wide_input(count: int) -> dict:
+    """Two additive classes of count distinct symbols, x_i against -x_i:
+    2**count - 2 options in each class."""
+    classes = [
+        [{"scalar": {"coefficients": {f"x{i}": sign}, "constant": "0"}, "mult": 1} for i in range(count)]
+        for sign in ("1", "-1")
+    ]
+    return {"jnfs": [{"multiplicities": [1] * count}] * 2, "spectrum": {"mode": "additive", "classes": classes}}
+
+
+def test_option_charge_skips_before_any_option_is_enumerated(tmp_path, monkeypatch):
+    def no_options(*args):
+        raise AssertionError("an option was enumerated past the budget")
+
+    monkeypatch.setattr(sp, "_count_vectors", no_options)
+    spectrum = sp.SpectrumAssignment.from_json(wide_input(20)["spectrum"])
+    with pytest.raises(sp.BudgetExceeded, match="options"):
+        sp.all_relations(spectrum, 2 * (2**20 - 2) - 1)
+    # 1500 choices deep, an enumeration would overflow the recursion limit
+    path = tmp_path / "wide.json"
+    path.write_text(dumps(wide_input(1500)), encoding="utf-8")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "deligne_simpson", "analyze", "-i", str(path), "--json"],
+        capture_output=True, text=True, timeout=20, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["genericity"] == {"skipped": f"more than {GENERICITY_BUDGET} combination steps"}
+    assert "skipping relation enumeration" in proc.stderr
+
+
+def four_by_four_input() -> dict:
+    """n = 8, four classes of four symbols of multiplicity 2; the last one
+    inverts all the others, so the only relation is the halved spectrum."""
+    classes = [
+        [{"scalar": {"exponents": {f"x{j}{i}": "1"}, "phase": "0"}, "mult": 2} for i in range(4)]
+        for j in range(4)
+    ]
+    others = {f"x{j}{i}": "-1" for j in range(4) for i in range(4) if (j, i) != (3, 3)}
+    classes[3][3]["scalar"]["exponents"] = others
+    return {"jnfs": [{"multiplicities": [2] * 4}] * 4, "spectrum": {"mode": "multiplicative", "classes": classes}}
+
+
+def constants_input(top: int) -> dict:
+    """Additive constants 0..top against 0..-top, each of multiplicity 1."""
+    classes = [
+        [{"scalar": {"coefficients": {}, "constant": str(sign * c)}, "mult": 1} for c in range(top + 1)]
+        for sign in (1, -1)
+    ]
+    return {"jnfs": [{"multiplicities": [1] * (top + 1)}] * 2, "spectrum": {"mode": "additive", "classes": classes}}
+
+
+@pytest.mark.parametrize("payload,charge,parts,witnesses", [
+    # 44 options, then 11 parts times 2**11 entries on each side at size 1;
+    # the pairs are independent symbols, so no witness
+    (reciprocal_pairs_input(), "half products", 45_056, 0),
+    # 4092 options and 4092 half-product parts; witnesses of 2 parts each
+    (constants_input(10), "witnesses", 72_668, 36_334),
+], ids=["half_products", "witnesses"])
+def test_one_charge_alone_meets_its_budget_exactly(payload, charge, parts, witnesses):
+    spectrum = sp.SpectrumAssignment.from_json(payload["spectrum"])
+    assert len(sp.all_relations(spectrum, parts)) == witnesses
+    with pytest.raises(sp.BudgetExceeded, match=charge):
+        sp.all_relations(spectrum, parts - 1)
+
+
+@pytest.mark.parametrize("payload,verdict,witnesses", [
+    (four_by_four_input(), "relatively_generic", 1),  # 281 905 choices, 1444 half-product parts at size 4
+    (constants_input(9), "non_generic", 10_950),  # 184 754 choices, 10 950 witnesses of 2 parts
+], ids=["four_by_four", "constants_0_to_9"])
+def test_analyze_decides_spectra_the_cartesian_precount_skipped(tmp_path, capsys, payload, verdict, witnesses):
+    spectrum = sp.SpectrumAssignment.from_json(payload["spectrum"])
+    limit = GENERICITY_BUDGET // len(spectrum.classes)
+    assert relation_choices(spectrum, limit + 1) > limit
+    path = tmp_path / "decided.json"
+    path.write_text(dumps(payload), encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "-i", str(path), "--json")
+    assert code == 0 and err == ""
+    genericity = json.loads(out)["genericity"]
+    assert genericity["verdict"] == verdict and genericity["global_condition"] is True
+    assert len(genericity["witnesses"]) == witnesses
 
 
 def test_analyze_text_reports_a_skipped_genericity_search(tmp_path, capsys):

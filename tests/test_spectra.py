@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from deligne_simpson import spectra as sp
 from deligne_simpson.spectra import ADDITIVE, MULTIPLICATIVE, FormalScalar, SpectrumAssignment
 from deligne_simpson.workbench import make_witness
-from oracles import brute_relations, scaled_full_witnesses
+from oracles import brute_relations, relation_choices, scaled_full_witnesses
 
 S = FormalScalar.multiplicative
 A = FormalScalar.additive
@@ -266,21 +266,6 @@ def test_additive_basic_relation_has_m_equal_to_q(spectrum):
         assert basic is None
 
 
-@settings(max_examples=100, deadline=None)
-@given(spectrum=global_spectra(), cap=st.integers(1, 300))
-def test_relation_choices_counts_the_filtered_product(spectrum, cap):
-    choices = 0
-    for m in range(1, spectrum.n):
-        per_class = []
-        for cls_ in spectrum.classes:
-            mults = [mult for _, mult in cls_]
-            every = [c for c in itertools.product(*(range(k + 1) for k in mults)) if sum(c) == m]
-            assert list(sp._count_vectors(mults, m)) == every
-            per_class.append(len(every))
-        choices += math.prod(per_class)
-    assert sp.relation_choices(spectrum, cap) == min(cap, choices)
-
-
 # Phases and constants with denominators 2, 3, 4 and 6, so that the
 # multiplicative offsets of a choice wrap past 1 (past D in the integer form).
 PHASES = [0, F(1, 2), F(1, 3), F(2, 3), F(1, 4), F(3, 4), F(1, 6), F(5, 6)]
@@ -324,6 +309,27 @@ def any_spectra(draw):
 def test_enumerate_relations_matches_the_cartesian_product(spectrum):
     for m in range(1, spectrum.n):
         assert sp.enumerate_relations(spectrum, m) == brute_relations(spectrum, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spectrum=any_spectra(), budget=st.integers(1, 400))
+def test_relation_choices_counts_the_filtered_product(spectrum, budget):
+    """The Cartesian pre-count (the oracle) counts the filtered product, and
+    whatever it lets through under a budget, the budgeted search decides
+    too, with the same witnesses: no charge exceeds classes times choices."""
+    choices = 0
+    for m in range(1, spectrum.n):
+        per_class = []
+        for cls_ in spectrum.classes:
+            mults = [mult for _, mult in cls_]
+            every = [c for c in itertools.product(*(range(k + 1) for k in mults)) if sum(c) == m]
+            assert list(sp._count_vectors(mults, m)) == every
+            per_class.append(len(every))
+        choices += math.prod(per_class)
+    assert relation_choices(spectrum, budget) == min(budget, choices)
+    limit = budget // len(spectrum.classes)
+    if relation_choices(spectrum, limit + 1) <= limit:
+        assert sp.all_relations(spectrum, budget) == sp.all_relations(spectrum)
 
 
 def four_by_four_spectrum():
